@@ -7,19 +7,19 @@ compares against the counting formulas profile by profile.
 
 The walk grows layer by layer: in a finite abelian 2-group every maximal
 subgroup of T has index 2, so every T is reached from some already-known S
-by adjoining a single element g with 2g in S, and T = S + (S + g).  Words
-are packed into integers (4 bits per coordinate) so group addition is one
-add-and-mask.
+by adjoining a single element g with 2g in S, and T = S + (S + g).  It runs
+on the packed words of `codes`, and no subgroup is decoded.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
 from . import codes, counting
-from .codes import Code, MixedWord
+from .codes import Code
 from .errors import AmbientTooLargeError
 
 __all__ = [
@@ -33,62 +33,34 @@ __all__ = [
     "census_to_json",
 ]
 
-AMBIENT_GUARD = 1 << 16  # enumeration refuses ambient groups of 2^16 words or more
+AMBIENT_GUARD_BITS = 16  # enumeration refuses ambient groups of 2^16 words or more
 
 
-class _Packed:
-    """Packed-integer arithmetic for one ambient group."""
+def check_ambient_size(alpha: int, beta: int, e: int) -> None:
+    """Refuse an ambient group at or above the enumeration guard.
 
-    def __init__(self, alpha: int, beta: int, e: int):
-        if e not in (2, 3):
-            raise ValueError(f"ring exponent must be 2 or 3, got {e}")
-        if alpha < 0 or beta < 0:
-            raise ValueError("dimensions must be non-negative")
-        self.alpha, self.beta, self.e = alpha, beta, e
-        self.size = 2**alpha * (1 << e) ** beta
-        mods = [2] * alpha + [1 << e] * beta
-        self.mask = 0
-        for i, m in enumerate(mods):
-            self.mask |= (m - 1) << (4 * i)
-        self.elements = []
-        for digits in product(*(range(m) for m in mods)):
-            x = 0
-            for i, d in enumerate(digits):
-                x |= d << (4 * i)
-            self.elements.append(x)
-        self.double = {x: (x + x) & self.mask for x in self.elements}
-
-    def add(self, x: int, y: int) -> int:
-        return (x + y) & self.mask
-
-    def decode(self, x: int) -> MixedWord:
-        digits = [(x >> (4 * i)) & 0xF for i in range(self.alpha + self.beta)]
-        return MixedWord(tuple(digits[: self.alpha]), tuple(digits[self.alpha:]), self.e)
-
-
-def _check_guard(alpha: int, beta: int, e: int) -> _Packed:
-    packed = _Packed(alpha, beta, e)
-    if packed.size >= AMBIENT_GUARD:
+    The size is worked out from the dimensions, before any word is built.
+    """
+    bits = alpha + e * beta
+    if bits >= AMBIENT_GUARD_BITS:
         raise AmbientTooLargeError(
-            f"ambient group has {packed.size} words, at or above the {AMBIENT_GUARD} guard"
+            f"ambient group has 2^{bits} words, at or above the 2^{AMBIENT_GUARD_BITS} guard"
         )
-    return packed
 
 
-def _subgroup_sets(packed: _Packed) -> list[frozenset[int]]:
-    add = packed.add
-    double = packed.double
-    elements = packed.elements
+def _subgroup_sets(ambient: codes._Ambient) -> list[frozenset[int]]:
+    adjoin = ambient.adjoin
+    pairs = [(g, ambient.double(g)) for g in ambient.elements()]
     zero = frozenset([0])
     found: set[frozenset[int]] = {zero}
     frontier = [zero]
     while frontier:
         next_frontier = []
         for sub in frontier:
-            for g in elements:
-                if g in sub or double[g] not in sub:
+            for g, g2 in pairs:
+                if g in sub or g2 not in sub:
                     continue
-                enlarged = frozenset(sub | {add(s, g) for s in sub})
+                enlarged = adjoin(sub, g)
                 if enlarged not in found:
                     found.add(enlarged)
                     next_frontier.append(enlarged)
@@ -101,11 +73,9 @@ def enumerate_subgroups(alpha: int, beta: int, e: int = 3) -> list[Code]:
 
     Ordered by size then by packed word content, so repeated runs agree.
     """
-    packed = _check_guard(alpha, beta, e)
-    return [
-        Code((packed.decode(x) for x in sub), alpha, beta, e)
-        for sub in _subgroup_sets(packed)
-    ]
+    check_ambient_size(alpha, beta, e)
+    ambient = codes._Ambient(alpha, beta, e)
+    return [Code._from_packed(ambient, sub) for sub in _subgroup_sets(ambient)]
 
 
 @dataclass(frozen=True)
@@ -122,31 +92,24 @@ class TypeCensus:
 
 def census(alpha: int, beta: int, e: int = 3) -> TypeCensus:
     """Enumerate all subgroups and tally them by classified type."""
-    tallies: dict[tuple[int, ...], int] = {}
-    total = 0
-    for code in enumerate_subgroups(alpha, beta, e):
-        t = codes.classify_type(code)
-        key = t.ks if e == 3 else t
-        tallies[key] = tallies.get(key, 0) + 1
-        total += 1
-    return TypeCensus(alpha, beta, e, dict(sorted(tallies.items())), total, "enumeration")
+    subgroups = enumerate_subgroups(alpha, beta, e)
+    types = (codes.classify_type(code) for code in subgroups)
+    tallies = Counter(t.ks if e == 3 else t for t in types)
+    return TypeCensus(alpha, beta, e, dict(sorted(tallies.items())), len(subgroups), "enumeration")
 
 
 def formula_census(alpha: int, beta: int, e: int = 3) -> TypeCensus:
-    """Census predicted by the counting formulas, one entry per valid profile."""
+    """Census predicted by the counting formulas, one entry per valid profile.
+
+    A type (k0; k_1..k_e) is counted as the Z8 type with 3 - e leading zero
+    modular slots: over Z_{2^e} there are no generators of the higher orders.
+    """
     counts: dict[tuple[int, ...], int] = {}
-    if e == 3:
-        for k0 in range(alpha + 1):
-            for k1 in range(beta + 1):
-                for k2 in range(beta - k1 + 1):
-                    for k3 in range(beta - k1 - k2 + 1):
-                        profile = counting.TypeProfile(alpha, beta, k0, k1, k2, k3)
-                        counts[profile.ks] = counting.count(profile)
-    else:
-        for k0 in range(alpha + 1):
-            for k1 in range(beta + 1):
-                for k2 in range(beta - k1 + 1):
-                    counts[(k0, k1, k2)] = counting.count_z2z4(alpha, beta, k0, k1, k2)
+    for k0 in range(alpha + 1):
+        for ks in product(range(beta + 1), repeat=e):
+            if sum(ks) <= beta:
+                profile = counting.TypeProfile(alpha, beta, k0, *(0,) * (3 - e), *ks)
+                counts[(k0, *ks)] = counting.count(profile)
     total = sum(counts.values())
     return TypeCensus(alpha, beta, e, dict(sorted(counts.items())), total, "formula")
 

@@ -14,7 +14,7 @@ import sys
 from typing import Sequence
 
 from . import codes, counting
-from .census import AMBIENT_GUARD, census, census_to_json, verify_formula
+from .census import census, census_to_json, check_ambient_size, verify_formula
 from .counting import TypeProfile
 from .errors import AmbientTooLargeError, SelfCheckError
 
@@ -298,11 +298,7 @@ def cmd_matrix(args) -> tuple[int, str]:
             raise UsageError("--parity is only available for e = 3")
         sections.append(("parity-check", list(codes.parity_check(m).rows)))
     if args.span:
-        ambient = 2**args.alpha * (1 << args.e) ** args.beta
-        if ambient >= AMBIENT_GUARD:
-            raise AmbientTooLargeError(
-                f"ambient group has {ambient} words, at or above the {AMBIENT_GUARD} guard"
-            )
+        check_ambient_size(args.alpha, args.beta, args.e)
         code = codes.span(rows, alpha=args.alpha, beta=args.beta, e=args.e)
         sections.append((f"codewords ({len(code)})", list(code)))
 
@@ -340,6 +336,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         "matrix": cmd_matrix,
         "census-export": cmd_census_export,
     }
+    # counts of any length print in full: lift the int -> str digit limit
+    # (Python 3.11+) for the command and give the caller's back afterwards
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         code, output = handlers[args.command](args)
     except UsageError as exc:
@@ -351,9 +353,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SelfCheckError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(output)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(output)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(output)
     return code

@@ -1,18 +1,22 @@
 """Concrete code machinery over Z2^alpha x Z_{2^e}^beta for e in {2, 3}.
 
-Words carry a binary segment and a modular segment.  Generator matrices in
-standard block form are assembled from their named free blocks, spans are
-materialized explicitly, and an arbitrary subgroup can be classified back
-to its type from torsion sizes alone.  The parity-check construction is
-validated behaviorally against `dual_bruteforce`, which scans the ambient
-group directly.
+Words carry a binary segment and a modular segment.  Inside this module a
+word is a packed integer, 4 bits per coordinate, and `_Ambient` is the only
+code that knows that format; `MixedWord` is the view used for input and
+output, and its arithmetic is the reference the packed kernel is tested
+against.  Generator matrices in standard block form are assembled from
+their named free blocks, spans are materialized explicitly, and an
+arbitrary subgroup can be classified back to its type from torsion sizes
+alone.  The parity-check construction is validated behaviorally against
+`dual_bruteforce`, which searches the ambient group exhaustively.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import accumulate, product
 from typing import Iterable, Iterator, Sequence
 
 from .counting import TypeProfile
@@ -104,10 +108,6 @@ class MixedWord:
         right = " ".join(str(x) for x in self.mod)
         return f"{left} | {right}".strip()
 
-    @staticmethod
-    def zero(alpha: int, beta: int, e: int = 3) -> "MixedWord":
-        return MixedWord((0,) * alpha, (0,) * beta, e)
-
 
 def _check_same_ambient(u: MixedWord, v: MixedWord) -> None:
     if (u.alpha, u.beta, u.e) != (v.alpha, v.beta, v.e):
@@ -133,6 +133,71 @@ def ambient_words(alpha: int, beta: int, e: int = 3) -> Iterator[MixedWord]:
 
 
 # ---------------------------------------------------------------------------
+# packed words
+# ---------------------------------------------------------------------------
+
+def _pack(digits: Iterable[int]) -> int:
+    """Digit i (below 16) into bits 4i..4i+3."""
+    x = 0
+    for i, d in enumerate(digits):
+        x |= d << (4 * i)
+    return x
+
+
+def _unpack(x: int, n: int) -> tuple[int, ...]:
+    return tuple((x >> (4 * i)) & 0xF for i in range(n))
+
+
+class _Ambient:
+    """Packed-word arithmetic for one ambient group Z2^alpha x Z_{2^e}^beta.
+
+    Coordinate i of a word sits in bits 4i..4i+3, binary coordinates first.
+    Entries stay below 8, so the sum of two words never carries from one
+    nibble into the next and addition is one add-and-mask.  A left shift by
+    more than one does carry, so multiples are taken by repeated addition.
+    Construction builds no words; `elements` materializes the group on demand.
+    """
+
+    def __init__(self, alpha: int, beta: int, e: int):
+        if e not in (2, 3):
+            raise ValueError(f"ring exponent must be 2 or 3, got {e}")
+        if alpha < 0 or beta < 0:
+            raise ValueError("dimensions must be non-negative")
+        self.alpha, self.beta, self.e = alpha, beta, e
+        self.bits = alpha + e * beta  # the group has 2^bits words
+        self.moduli = (2,) * alpha + (1 << e,) * beta
+        self.mask = _pack(m - 1 for m in self.moduli)
+        self.bin_mask = _pack((1,) * alpha)  # a word has zero binary part iff x & bin_mask == 0
+
+    def encode(self, w: MixedWord) -> int:
+        return _pack(w.bin + w.mod)
+
+    def decode(self, x: int) -> MixedWord:
+        digits = _unpack(x, self.alpha + self.beta)
+        return MixedWord(digits[: self.alpha], digits[self.alpha:], self.e)
+
+    def double(self, x: int) -> int:
+        return (x + x) & self.mask
+
+    def elements(self) -> list[int]:
+        words = [0]
+        for i, m in enumerate(self.moduli):
+            words = [x | d << (4 * i) for d in range(m) for x in words]
+        return words
+
+    def adjoin(self, group: frozenset[int], g: int) -> frozenset[int]:
+        """The subgroup generated by `group` (a subgroup) and g: the union of
+        the cosets group + j*g until j*g falls back into group."""
+        mask = self.mask
+        words = list(group)
+        step = g
+        while step not in group:
+            words.extend([(w + step) & mask for w in group])
+            step = (step + g) & mask
+        return frozenset(words)
+
+
+# ---------------------------------------------------------------------------
 # codes
 # ---------------------------------------------------------------------------
 
@@ -140,17 +205,34 @@ class Code:
     """An explicitly materialized additive code: the set of its words."""
 
     def __init__(self, words: Iterable[MixedWord], alpha: int, beta: int, e: int = 3):
-        self.alpha = alpha
-        self.beta = beta
-        self.e = e
-        self.words = frozenset(words)
-        for w in self.words:
+        ambient = _Ambient(alpha, beta, e)
+        packed = set()
+        for w in words:
             if (w.alpha, w.beta, w.e) != (alpha, beta, e):
                 raise ValueError(f"word {w} does not live in ({alpha},{beta},e={e})")
+            packed.add(ambient.encode(w))
+        self._init(ambient, frozenset(packed))
+
+    @classmethod
+    def _from_packed(cls, ambient: _Ambient, packed: frozenset[int]) -> "Code":
+        """A code from packed words already known to lie in `ambient`."""
+        code = cls.__new__(cls)
+        code._init(ambient, packed)
+        return code
+
+    def _init(self, ambient: _Ambient, packed: frozenset[int]) -> None:
+        self.alpha, self.beta, self.e = ambient.alpha, ambient.beta, ambient.e
+        self._ambient = ambient
+        self._packed = packed
         self._profile = None
 
+    @cached_property
+    def words(self) -> frozenset[MixedWord]:
+        """The codewords as `MixedWord`s, decoded on first use."""
+        return frozenset(map(self._ambient.decode, self._packed))
+
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self._packed)
 
     def __iter__(self) -> Iterator[MixedWord]:
         return iter(sorted(self.words, key=lambda w: (w.bin, w.mod)))
@@ -162,21 +244,19 @@ class Code:
         return (
             isinstance(other, Code)
             and (self.alpha, self.beta, self.e) == (other.alpha, other.beta, other.e)
-            and self.words == other.words
+            and self._packed == other._packed
         )
 
     def __hash__(self) -> int:
-        return hash((self.alpha, self.beta, self.e, self.words))
+        return hash((self.alpha, self.beta, self.e, self._packed))
 
     def __repr__(self) -> str:
         return f"Code(alpha={self.alpha}, beta={self.beta}, e={self.e}, size={len(self)})"
 
     def is_subgroup(self) -> bool:
         """Full closure check; quadratic, intended for small codes and tests."""
-        z = MixedWord.zero(self.alpha, self.beta, self.e)
-        if z not in self.words:
-            return False
-        return all(u + v in self.words for u in self.words for v in self.words)
+        words, mask = self._packed, self._ambient.mask
+        return 0 in words and all((u + v) & mask in words for u in words for v in words)
 
 
 def span(generators: Sequence[MixedWord], *, alpha: int | None = None,
@@ -189,17 +269,11 @@ def span(generators: Sequence[MixedWord], *, alpha: int | None = None,
             _check_same_ambient(gens[0], g)
     elif alpha is None or beta is None or e is None:
         raise ValueError("empty generator list needs explicit alpha, beta, e")
-    current = {MixedWord.zero(alpha, beta, e)}
+    ambient = _Ambient(alpha, beta, e)
+    group = frozenset([0])
     for g in gens:
-        # current is a subgroup, so adjoining g unions the cosets current + j*g
-        # until j*g falls back into current
-        new = set(current)
-        step = g
-        while step not in current:
-            new |= {w + step for w in current}
-            step = step + g
-        current = new
-    return Code(current, alpha, beta, e)
+        group = ambient.adjoin(group, ambient.encode(g))
+    return Code._from_packed(ambient, group)
 
 
 def _log2_exact(n: int, what: str) -> int:
@@ -213,38 +287,35 @@ def classify_type(code: Code):
     """Recover the type of a subgroup from torsion sizes.
 
     For e = 3 returns a TypeProfile; for e = 2 returns the triple
-    (k0, k1, k2).  Works on any subgroup, basis-free: the counts of elements
-    killed by 2 and by 4, the total size, and the number of order <= 2
-    elements with zero binary part pin the generator counts.
+    (k0, k1, k2).  Works on any subgroup, basis-free: with 2^s_j elements
+    killed by 2^j and 2^z order <= 2 elements with zero binary part,
+    s_j - s_(j-1) counts the cyclic factors of order above 2^(j-1), so
+    k_1 + ... + k_i = s_(e-i+1) - s_(e-i) for i < e, k_1 + ... + k_e = z,
+    and k0 = s_1 - z.
     """
     if code._profile is not None:
         return code._profile
-    n = len(code)
-    s_all = _log2_exact(n, "code")
-    if MixedWord.zero(code.alpha, code.beta, code.e) not in code.words:
+    words, mask, e = code._packed, code._ambient.mask, code.e
+    _log2_exact(len(words), "code")
+    if 0 not in words:
         raise NotASubgroupError("code does not contain the zero word")
-    two_torsion = [w for w in code.words if (w + w).is_zero()]
-    s1 = _log2_exact(len(two_torsion), "2-torsion")
-    z = _log2_exact(len([w for w in two_torsion if not any(w.bin)]), "zero-binary 2-torsion")
-
-    if code.e == 3:
-        four_torsion = sum(1 for w in code.words if (4 * w).is_zero())
-        s2 = _log2_exact(four_torsion, "4-torsion")
-        k1 = s_all - s2
-        k2 = s2 - s1 - k1
-        k3 = z - k1 - k2
-        k0 = s1 - z
-        if min(k0, k1, k2, k3) < 0:
-            raise NotASubgroupError(f"inconsistent torsion profile ({s1},{s2},{s_all},z={z})")
-        code._profile = TypeProfile(code.alpha, code.beta, k0, k1, k2, k3)
-        return code._profile
-
-    k1 = s_all - s1
-    k2 = z - k1
-    k0 = s1 - z
-    if min(k0, k1, k2) < 0:
-        raise NotASubgroupError(f"inconsistent torsion profile ({s1},{s_all},z={z})")
-    code._profile = (k0, k1, k2)
+    of_order = [0] * (e + 1)  # of_order[j]: words of order exactly 2^j
+    zero_binary = 0
+    for x in words:
+        j, y = 0, x
+        while y:
+            y = (y + y) & mask
+            j += 1
+        of_order[j] += 1
+        if j <= 1 and not x & code._ambient.bin_mask:
+            zero_binary += 1
+    s = [_log2_exact(n, f"{1 << j}-torsion") for j, n in enumerate(accumulate(of_order))]
+    z = _log2_exact(zero_binary, "zero-binary 2-torsion")
+    tops = [0] + [s[e - i + 1] - s[e - i] for i in range(1, e)] + [z]
+    ks = (s[1] - z, *(b - a for a, b in zip(tops, tops[1:])))
+    if min(ks) < 0:
+        raise NotASubgroupError(f"inconsistent torsion profile (s={s[1:]}, z={z})")
+    code._profile = TypeProfile(code.alpha, code.beta, *ks) if e == 3 else ks
     return code._profile
 
 
@@ -253,40 +324,30 @@ def classify_type(code: Code):
 # ---------------------------------------------------------------------------
 
 def _block_shapes(alpha: int, beta: int, ks: tuple[int, ...], e: int) -> dict[str, tuple[int, int, int]]:
-    """name -> (rows, cols, modulus) for the free blocks of the standard form."""
-    if e == 3:
-        k0, k1, k2, k3 = ks
-        r0 = alpha - k0
-        r3 = beta - (k1 + k2 + k3)
-        return {
-            "Abar01": (k0, r0, 2),
-            "T03": (k0, r3, 2),
-            "S1": (k1, r0, 2),
-            "A01": (k1, k2, 8),
-            "A02": (k1, k3, 8),
-            "A03": (k1, r3, 8),
-            "S2": (k2, r0, 2),
-            "A12": (k2, k3, 4),
-            "A13": (k2, r3, 4),
-            "A23": (k3, r3, 2),
-        }
-    k0, k1, k2 = ks
-    r0 = alpha - k0
-    r2 = beta - (k1 + k2)
-    return {
-        "Abar01": (k0, r0, 2),
-        "T02": (k0, r2, 2),
-        "S1": (k1, r0, 2),
-        "A01": (k1, k2, 4),
-        "A02": (k1, r2, 4),
-        "A12": (k2, r2, 2),
-    }
+    """name -> (rows, cols, modulus) for the free blocks of the standard form.
+
+    Row stripe 0 holds the k0 binary generators and stripe i the k_i
+    generators of order 2^(e-i+1).  The modular columns split into stripes
+    of widths k_1, ..., k_e and r_e = beta - (k_1 + ... + k_e); block A_ij
+    sits in row stripe i+1 and column stripe j+1 with modulus 2^(e-i), and
+    S_i holds the binary part of row stripe i for i < e.
+    """
+    r0 = alpha - ks[0]
+    widths = (*ks[2:], beta - sum(ks[1:]))  # modular column stripes 2..e+1
+    shapes = {"Abar01": (ks[0], r0, 2), f"T0{e}": (ks[0], widths[-1], 2)}
+    for i in range(e):
+        if i + 1 < e:
+            shapes[f"S{i + 1}"] = (ks[i + 1], r0, 2)
+        for j in range(i + 1, e + 1):
+            shapes[f"A{i}{j}"] = (ks[i + 1], widths[j - 1], 1 << (e - i))
+    return shapes
 
 
 def _validate_ks(alpha: int, beta: int, ks: tuple[int, ...], e: int) -> None:
-    expected = 4 if e == 3 else 3
-    if len(ks) != expected:
-        raise ValueError(f"e={e} standard form needs {expected} generator counts, got {ks}")
+    if e not in (2, 3):
+        raise ValueError(f"ring exponent must be 2 or 3, got {e}")
+    if len(ks) != e + 1:
+        raise ValueError(f"e={e} standard form needs {e + 1} generator counts, got {ks}")
     if any(k < 0 for k in ks) or alpha < 0 or beta < 0:
         raise ValueError(f"negative dimensions in ({alpha},{beta};{ks})")
     if ks[0] > alpha or sum(ks[1:]) > beta:
@@ -326,105 +387,63 @@ class StandardFormMatrix:
         return TypeProfile(self.alpha, self.beta, *self.ks)
 
 
-def _blockrow(m: StandardFormMatrix, name: str, i: int) -> tuple[int, ...]:
-    return m.blocks[name][i]
+def _unit(n: int, i: int) -> tuple[int, ...]:
+    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def assemble(matrix: StandardFormMatrix) -> list[MixedWord]:
-    """Generator rows of the standard form, identity blocks and scalings in place."""
-    a, e = matrix.alpha, matrix.e
-    mod = 1 << e
-    rows: list[MixedWord] = []
+    """Generator rows of the standard form, identity blocks and scalings in place.
 
-    def unit(n: int, i: int) -> tuple[int, ...]:
-        return tuple(1 if j == i else 0 for j in range(n))
+    Row stripe i is scaled by 2^(i-1); the binary rows carry 2^(e-1) * T0e.
+    """
+    e, ks, blocks = matrix.e, matrix.ks, matrix.blocks
+    mod = 1 << e
 
     def scaled(v: Sequence[int], c: int) -> tuple[int, ...]:
         return tuple((c * x) % mod for x in v)
 
-    if e == 3:
-        k0, k1, k2, k3 = matrix.ks
-        for i in range(k0):
-            bin_part = unit(k0, i) + _blockrow(matrix, "Abar01", i)
-            mod_part = (0,) * k1 + (0,) * k2 + (0,) * k3 + scaled(_blockrow(matrix, "T03", i), 4)
-            rows.append(MixedWord(bin_part, mod_part, e))
-        for j in range(k1):
-            bin_part = (0,) * k0 + _blockrow(matrix, "S1", j)
-            mod_part = unit(k1, j) + _blockrow(matrix, "A01", j) + _blockrow(matrix, "A02", j) \
-                + _blockrow(matrix, "A03", j)
-            rows.append(MixedWord(bin_part, mod_part, e))
-        for m in range(k2):
-            bin_part = (0,) * k0 + _blockrow(matrix, "S2", m)
-            mod_part = (0,) * k1 + scaled(unit(k2, m), 2) + scaled(_blockrow(matrix, "A12", m), 2) \
-                + scaled(_blockrow(matrix, "A13", m), 2)
-            rows.append(MixedWord(bin_part, mod_part, e))
-        for n in range(k3):
-            bin_part = (0,) * a
-            mod_part = (0,) * k1 + (0,) * k2 + scaled(unit(k3, n), 4) \
-                + scaled(_blockrow(matrix, "A23", n), 4)
-            rows.append(MixedWord(bin_part, mod_part, e))
-        return rows
-
-    k0, k1, k2 = matrix.ks
-    for i in range(k0):
-        bin_part = unit(k0, i) + _blockrow(matrix, "Abar01", i)
-        mod_part = (0,) * k1 + (0,) * k2 + scaled(_blockrow(matrix, "T02", i), 2)
-        rows.append(MixedWord(bin_part, mod_part, e))
-    for j in range(k1):
-        bin_part = (0,) * k0 + _blockrow(matrix, "S1", j)
-        mod_part = unit(k1, j) + _blockrow(matrix, "A01", j) + _blockrow(matrix, "A02", j)
-        rows.append(MixedWord(bin_part, mod_part, e))
-    for m in range(k2):
-        bin_part = (0,) * a
-        mod_part = (0,) * k1 + scaled(unit(k2, m), 2) + scaled(_blockrow(matrix, "A12", m), 2)
-        rows.append(MixedWord(bin_part, mod_part, e))
+    rows = [
+        MixedWord(_unit(ks[0], r) + blocks["Abar01"][r],
+                  (0,) * sum(ks[1:]) + scaled(blocks[f"T0{e}"][r], mod // 2), e)
+        for r in range(ks[0])
+    ]
+    for i in range(1, e + 1):
+        for r in range(ks[i]):
+            bin_part = (0,) * ks[0] + blocks[f"S{i}"][r] if i < e else (0,) * matrix.alpha
+            stripe = _unit(ks[i], r) + sum((blocks[f"A{i - 1}{j}"][r] for j in range(i, e + 1)), ())
+            rows.append(MixedWord(bin_part, (0,) * sum(ks[1:i]) + scaled(stripe, 1 << (i - 1)), e))
     return rows
 
 
-def _zero_blocks(alpha: int, beta: int, ks: tuple[int, ...], e: int):
-    shapes = _block_shapes(alpha, beta, ks, e)
-    return {
-        name: tuple((0,) * cols for _ in range(rows))
-        for name, (rows, cols, _) in shapes.items()
-    }
+def _standard_form(alpha: int, beta: int, ks: tuple[int, ...], e: int, entry) -> StandardFormMatrix:
+    """Standard form whose free blocks are filled by entry(modulus), block by
+    block in name order and row by row within a block."""
+    shapes = sorted(_block_shapes(alpha, beta, ks, e).items())
+    return StandardFormMatrix(alpha, beta, e, ks, {
+        name: tuple(tuple(entry(modulus) for _ in range(cols)) for _ in range(rows))
+        for name, (rows, cols, modulus) in shapes
+    })
 
 
 def zero_standard_form(profile: TypeProfile) -> StandardFormMatrix:
     """Standard form over Z8 columns with every free block zero."""
-    ks = profile.ks
-    return StandardFormMatrix(profile.alpha, profile.beta, 3, ks,
-                              _zero_blocks(profile.alpha, profile.beta, ks, 3))
+    return _standard_form(profile.alpha, profile.beta, profile.ks, 3, lambda m: 0)
 
 
 def zero_standard_form_z4(alpha: int, beta: int, k0: int, k1: int, k2: int) -> StandardFormMatrix:
-    ks = (k0, k1, k2)
-    return StandardFormMatrix(alpha, beta, 2, ks, _zero_blocks(alpha, beta, ks, 2))
-
-
-def _random_blocks(alpha: int, beta: int, ks: tuple[int, ...], e: int, seed: int):
-    rng = random.Random(seed)
-    blocks = {}
-    for name, (rows, cols, modulus) in sorted(_block_shapes(alpha, beta, ks, e).items()):
-        blocks[name] = tuple(
-            tuple(rng.randrange(modulus) for _ in range(cols)) for _ in range(rows)
-        )
-    return blocks
+    return _standard_form(alpha, beta, (k0, k1, k2), 2, lambda m: 0)
 
 
 def random_standard_form(profile: TypeProfile, seed: int) -> StandardFormMatrix:
     """Standard form with uniformly drawn free blocks; reproducible per seed."""
     if not profile.is_valid():
         raise ValueError(f"invalid type profile {profile}")
-    ks = profile.ks
-    return StandardFormMatrix(profile.alpha, profile.beta, 3, ks,
-                              _random_blocks(profile.alpha, profile.beta, ks, 3, seed))
+    return _standard_form(profile.alpha, profile.beta, profile.ks, 3, random.Random(seed).randrange)
 
 
 def random_standard_form_z4(alpha: int, beta: int, k0: int, k1: int, k2: int,
                             seed: int) -> StandardFormMatrix:
-    ks = (k0, k1, k2)
-    _validate_ks(alpha, beta, ks, 2)
-    return StandardFormMatrix(alpha, beta, 2, ks, _random_blocks(alpha, beta, ks, 2, seed))
+    return _standard_form(alpha, beta, (k0, k1, k2), 2, random.Random(seed).randrange)
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +522,6 @@ def parity_check(matrix: StandardFormMatrix) -> ParityCheckMatrix:
 
     q1 = _madd(_mscale(-1, a13_t), _matmul(a23_t, a12_t, k3, k2))  # k2 cols of stripe 1
 
-    def unit(n: int, i: int) -> tuple[int, ...]:
-        return tuple(1 if j == i else 0 for j in range(n))
-
     def bin2(v: Sequence[int]) -> tuple[int, ...]:
         return tuple(x % 2 for x in v)
 
@@ -514,81 +530,90 @@ def parity_check(matrix: StandardFormMatrix) -> ParityCheckMatrix:
 
     rows: list[MixedWord] = []
     for i in range(r0):
-        bin_part = bin2(tuple(-x for x in abar01_t[i])) + unit(r0, i)
+        bin_part = bin2(tuple(-x for x in abar01_t[i])) + _unit(r0, i)
         mod_part = mod8(p0[i] + tuple(-2 * x for x in s2_t[i]) + (0,) * k3 + (0,) * r3)
         rows.append(MixedWord(bin_part, mod_part, 3))
     for i in range(r3):
         bin_part = bin2(tuple(-x for x in t03_t[i])) + (0,) * r0
-        mod_part = mod8(p1[i] + q1[i] + tuple(-x for x in a23_t[i]) + unit(r3, i))
+        mod_part = mod8(p1[i] + q1[i] + tuple(-x for x in a23_t[i]) + _unit(r3, i))
         rows.append(MixedWord(bin_part, mod_part, 3))
     for i in range(k3):
         bin_part = (0,) * a
-        mod_part = mod8(p2[i] + tuple(-2 * x for x in a12_t[i]) + tuple(2 * x for x in unit(k3, i)) + (0,) * r3)
+        mod_part = mod8(p2[i] + tuple(-2 * x for x in a12_t[i]) + tuple(2 * x for x in _unit(k3, i)) + (0,) * r3)
         rows.append(MixedWord(bin_part, mod_part, 3))
     for i in range(k2):
         bin_part = (0,) * a
-        mod_part = mod8(p3[i] + tuple(4 * x for x in unit(k2, i)) + (0,) * k3 + (0,) * r3)
+        mod_part = mod8(p3[i] + tuple(4 * x for x in _unit(k2, i)) + (0,) * k3 + (0,) * r3)
         rows.append(MixedWord(bin_part, mod_part, 3))
     return ParityCheckMatrix(a, b, 3, tuple(rows))
 
 
-def _generating_subset(code: Code) -> list[MixedWord]:
-    """A small generating set of a materialized code, found greedily."""
-    gens: list[MixedWord] = []
-    covered = {MixedWord.zero(code.alpha, code.beta, code.e)}
-    for w in code:
-        if w not in covered:
-            gens.append(w)
-            covered = span(gens).words
-            if len(covered) == len(code):
-                break
-    return gens
-
-
 def dual_bruteforce(code: Code) -> Code:
-    """All ambient words orthogonal to every codeword, by direct scan.
+    """All ambient words orthogonal to every codeword, by exhaustive search.
 
     Orthogonality is checked against a generating subset; by bilinearity of
     the inner product this coincides with orthogonality to every codeword.
+    The products of a word with all t generators are carried as one packed
+    integer (nibble t holds the t-th product mod 2^e), built coordinate by
+    coordinate from the definition 2^(e-1) * (binary dot) + (modular dot).
+    The coordinates are cut in two halves of about equal size; each half's
+    words are listed with their partial products, and a word of the dual is
+    a pair whose partial products cancel.
     """
-    bits = code.alpha + code.e * code.beta
-    if bits > AMBIENT_GUARD_BITS:
+    ambient = code._ambient
+    if ambient.bits > AMBIENT_GUARD_BITS:
         raise AmbientTooLargeError(
-            f"ambient 2^{bits} exceeds the 2^{AMBIENT_GUARD_BITS} brute-force guard"
+            f"ambient 2^{ambient.bits} exceeds the 2^{AMBIENT_GUARD_BITS} brute-force guard"
         )
-    gens = _generating_subset(code)
-    dual = [
-        v
-        for v in ambient_words(code.alpha, code.beta, code.e)
-        if all(inner_product(g, v) == 0 for g in gens)
-    ]
-    return Code(dual, code.alpha, code.beta, code.e)
+    n, top = code.alpha + code.beta, 1 << code.e
+    gens, covered = [], frozenset([0])  # a generating subset, found greedily
+    for w in code._packed:
+        if w not in covered:
+            gens.append(_unpack(w, n))
+            covered = ambient.adjoin(covered, w)
+    products_mask = _pack([top - 1] * len(gens))
+
+    def half(coords: range) -> list[tuple[int, int]]:
+        table = [(0, 0)]  # (word supported on coords, its packed products)
+        for c in coords:
+            weight = top // 2 if c < code.alpha else 1
+            column = _pack([g[c] * weight % top for g in gens])
+            multiples = accumulate([column] * (ambient.moduli[c] - 1),
+                                   lambda p, q: (p + q) & products_mask, initial=0)
+            table = [(w | d << (4 * c), (p + dp) & products_mask)
+                     for d, dp in enumerate(multiples) for w, p in table]
+        return table
+
+    split, low_bits = 0, 0
+    while 2 * low_bits < ambient.bits:
+        low_bits += ambient.moduli[split].bit_length() - 1
+        split += 1
+    high: dict[int, list[int]] = {}
+    for w, p in half(range(split, n)):
+        high.setdefault(p, []).append(w)
+    cancel = _pack([top] * len(gens))  # cancel - p negates every nibble mod 2^e
+    dual = frozenset(
+        w | u for w, p in half(range(split)) for u in high.get((cancel - p) & products_mask, ())
+    )
+    return Code._from_packed(ambient, dual)
 
 
 def phi_reduce(code: Code) -> Code:
     """Image of a Z8-column code under entrywise mod-4 reduction of the Z8 part."""
     if code.e != 3:
         raise ValueError("phi_reduce expects a code with e = 3")
-    words = {
-        MixedWord(w.bin, tuple(x % 4 for x in w.mod), 2) for w in code.words
-    }
-    return Code(words, code.alpha, code.beta, 2)
+    z4 = _Ambient(code.alpha, code.beta, 2)
+    return Code._from_packed(z4, frozenset(x & z4.mask for x in code._packed))
 
 
 # ---------------------------------------------------------------------------
 # text serialization
 # ---------------------------------------------------------------------------
 
-def _format_word(w: MixedWord) -> str:
-    left = " ".join(str(x) for x in w.bin)
-    right = " ".join(str(x) for x in w.mod)
-    return f"{left} | {right}".strip()
-
-
 def format_matrix(alpha: int, beta: int, e: int, rows: Sequence[MixedWord]) -> str:
     """Line format: header `alpha beta e`, then one `bin | mod` row per line."""
     lines = [f"{alpha} {beta} {e}"]
-    lines.extend(_format_word(w) for w in rows)
+    lines.extend(str(w) for w in rows)
     return "\n".join(lines) + "\n"
 
 

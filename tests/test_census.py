@@ -1,6 +1,7 @@
 """Tests for exhaustive subgroup enumeration and formula verification."""
 
 import json
+import time
 
 import pytest
 
@@ -58,6 +59,16 @@ def test_guard_rejects_large_ambient():
         enumerate_subgroups(4, 4, 3)  # exactly 2^16 words: at the guard
     with pytest.raises(AmbientTooLargeError):
         census(17, 0, 3)
+
+
+def test_guard_refuses_before_building_anything():
+    # 2^40 words: refused from the dimensions alone, before any word is built
+    start = time.perf_counter()
+    with pytest.raises(AmbientTooLargeError):
+        enumerate_subgroups(40, 0, 3)
+    with pytest.raises(AmbientTooLargeError):
+        census(40, 0, 3)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import json
 import subprocess
 import sys
@@ -7,12 +8,32 @@ import sys
 import pytest
 
 from z2z8.cli import FAMILIES, family_term, main, parse_affine
+from z2z8.counting import TypeProfile, count
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def digit_limit():
+    """Python 3.11+ caps int <-> str conversion at 4300 digits; None before."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Parse decimal strings of any length."""
+    limit = digit_limit()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +52,19 @@ def test_count_z2z4_via_slot_mapping(capsys):
                     "--k0", "2", "--k1", "0", "--k2", "1", "--k3", "2")
     assert code == 0
     assert out == "11760\n"
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_count_prints_counts_over_4300_digits(capsys, fmt):
+    limit = digit_limit()
+    code, out = run(capsys, "count", "--alpha", "100", "--beta", "200", "--k0", "50",
+                    "--k1", "50", "--k2", "50", "--k3", "50", "--format", fmt)
+    assert code == 0
+    assert digit_limit() == limit  # main gives the caller's limit back
+    text = json.loads(out)["count"] if fmt == "json" else out
+    assert len(text.strip()) > 4300
+    with no_digit_limit():
+        assert int(text) == count(TypeProfile(100, 200, 50, 50, 50, 50))
 
 
 def test_count_invalid_profile_prints_zero(capsys):
@@ -130,6 +164,16 @@ def test_sequence_json(capsys):
     assert json.loads(out) == ["3", "35", "1395"]
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_sequence_prints_terms_over_4300_digits(capsys, fmt):
+    code, out = run(capsys, "sequence", "t1", "--start", "100", "--end", "102",
+                    "--format", fmt)
+    assert code == 0
+    terms = json.loads(out) if fmt == "json" else out.split()
+    with no_digit_limit():
+        assert [int(t) for t in terms] == [family_term(FAMILIES["t1"][0], r) for r in (100, 101, 102)]
+
+
 def test_sequence_custom_exprs(capsys):
     code, out = run(capsys, "sequence", "--exprs", "r+1,2,r,1,1,0",
                     "--start", "1", "--end", "3")
@@ -176,6 +220,11 @@ def test_verify_json(capsys):
     doc = json.loads(out)
     assert doc["all_match"] is True
     assert doc["total_enumerated"] == "8"
+
+
+def test_verify_guard_refuses_huge_ambient_at_once(capsys):
+    assert main(["verify", "--alpha", "40", "--beta", "0"]) == 3
+    assert capsys.readouterr().err.startswith("resource guard: ")
 
 
 def test_verify_guard_exit_code(capsys):
@@ -297,6 +346,12 @@ def test_out_flag_writes_file(capsys, tmp_path):
     capsys.readouterr()
     assert code == 0
     assert out_path.read_text() == "36\n84\n"
+
+
+def test_out_unwritable_is_usage_error(capsys, tmp_path):
+    code = main(["sequence", "t2", "--out", str(tmp_path / "missing" / "seq.txt")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
