@@ -5,10 +5,11 @@ a breadth-first walk of the subgroup lattice, classified through
 `codes.classify_type`, and tallied into a census that `verify_formula`
 compares against the counting formulas profile by profile.
 
-The walk grows layer by layer: in a finite abelian 2-group every maximal
-subgroup of T has index 2, so every T is reached from some already-known S
-by adjoining a single element g with 2g in S, and T = S + (S + g).  It runs
-on the packed words of `codes`, and no subgroup is decoded.
+The walk goes layer by layer: a maximal subgroup S of a finite abelian 2-group
+T has index 2, so T = S | (S + g) for any g in T outside S, and 2g is in S.
+Layer n+1 is the set of these covers of layer n; within one S the words of a
+cover already built are skipped, so each cover of S is built once.  The walk
+runs on the packed words of `codes`, and no subgroup is decoded.
 """
 
 from __future__ import annotations
@@ -49,23 +50,21 @@ def check_ambient_size(alpha: int, beta: int, e: int) -> None:
 
 
 def _subgroup_sets(ambient: codes._Ambient) -> list[frozenset[int]]:
-    adjoin = ambient.adjoin
-    pairs = [(g, ambient.double(g)) for g in ambient.elements()]
-    zero = frozenset([0])
-    found: set[frozenset[int]] = {zero}
-    frontier = [zero]
-    while frontier:
-        next_frontier = []
-        for sub in frontier:
-            for g, g2 in pairs:
-                if g in sub or g2 not in sub:
-                    continue
-                enlarged = adjoin(sub, g)
-                if enlarged not in found:
-                    found.add(enlarged)
-                    next_frontier.append(enlarged)
-        frontier = next_frontier
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+    mask, elements = ambient.mask, ambient.elements()
+    layer = [frozenset([0])]
+    ordered: list[frozenset[int]] = []
+    while layer:
+        ordered += layer
+        covers = set()
+        for sub in layer:
+            covered = set(sub)
+            for g in elements:
+                if g not in covered and (g + g) & mask in sub:
+                    coset = [(w + g) & mask for w in sub]
+                    covered.update(coset)
+                    covers.add(sub.union(coset))
+        layer = sorted(covers, key=sorted)
+    return ordered
 
 
 def enumerate_subgroups(alpha: int, beta: int, e: int = 3) -> list[Code]:

@@ -137,6 +137,19 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_count(args) -> tuple[int, str]:
     profile = TypeProfile(args.alpha, args.beta, args.k0, args.k1, args.k2, args.k3)
     value = counting.count(profile)
+    factors = delta = dual = None
+    if args.breakdown:
+        b = counting.count_product(profile)
+        factors = {"N1": b.n1, "N2": b.n2, "N3": b.n3, "N4": b.n4,
+                   "D1": b.d1, "D2": b.d2, "D3": b.d3, "D4": b.d4}
+        if profile.is_valid():
+            delta = counting.delta_exponents(profile).delta
+    if args.dual:
+        if not profile.is_valid():
+            raise UsageError(f"--dual needs a valid profile, got {profile}")
+        dual = counting.dual_type(profile)
+        dual_count = counting.count(dual)
+
     if args.format == "json":
         doc = {
             "alpha": args.alpha, "beta": args.beta,
@@ -144,39 +157,21 @@ def cmd_count(args) -> tuple[int, str]:
             "valid": profile.is_valid(),
             "count": str(value),
         }
-        if args.breakdown:
-            b = counting.count_product(profile)
-            doc["breakdown"] = {
-                "N1": str(b.n1), "N2": str(b.n2), "N3": str(b.n3), "N4": str(b.n4),
-                "D1": str(b.d1), "D2": str(b.d2), "D3": str(b.d3), "D4": str(b.d4),
-            }
-            if profile.is_valid():
-                doc["breakdown"]["delta"] = counting.delta_exponents(profile).delta
-        if args.dual:
-            if not profile.is_valid():
-                raise UsageError(f"--dual needs a valid profile, got {profile}")
-            d = counting.dual_type(profile)
-            doc["dual"] = {
-                "profile": [d.alpha, d.beta, d.k0, d.k1, d.k2, d.k3],
-                "count": str(counting.count(d)),
-            }
+        if factors is not None:
+            doc["breakdown"] = {name: str(v) for name, v in factors.items()}
+            if delta is not None:
+                doc["breakdown"]["delta"] = delta
+        if dual is not None:
+            doc["dual"] = {"profile": [dual.alpha, dual.beta, *dual.ks], "count": str(dual_count)}
         return 0, json.dumps(doc, indent=2) + "\n"
 
     lines = [str(value)]
-    if args.breakdown:
-        b = counting.count_product(profile)
-        lines += [
-            f"N1 = {b.n1}", f"N2 = {b.n2}", f"N3 = {b.n3}", f"N4 = {b.n4}",
-            f"D1 = {b.d1}", f"D2 = {b.d2}", f"D3 = {b.d3}", f"D4 = {b.d4}",
-        ]
-        if profile.is_valid():
-            lines.append(f"delta = {counting.delta_exponents(profile).delta}")
-    if args.dual:
-        if not profile.is_valid():
-            raise UsageError(f"--dual needs a valid profile, got {profile}")
-        d = counting.dual_type(profile)
-        lines.append(f"dual type = {d}")
-        lines.append(f"dual count = {counting.count(d)}")
+    if factors is not None:
+        lines += [f"{name} = {v}" for name, v in factors.items()]
+        if delta is not None:
+            lines.append(f"delta = {delta}")
+    if dual is not None:
+        lines += [f"dual type = {dual}", f"dual count = {dual_count}"]
     return 0, "\n".join(lines) + "\n"
 
 

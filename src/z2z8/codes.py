@@ -17,7 +17,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .counting import TypeProfile
 from .errors import AmbientTooLargeError, NotASubgroupError
@@ -358,17 +359,19 @@ def _validate_ks(alpha: int, beta: int, ks: tuple[int, ...], e: int) -> None:
 class StandardFormMatrix:
     """Block generator matrix in standard form, stored by its free blocks.
 
-    Blocks hold the unscaled entries; `assemble` applies the per-stripe
-    identity scaling (1, 1, 2, 4 down the stripes for e = 3).
+    Blocks hold the unscaled entries, read-only and with tuple rows; `assemble`
+    applies the per-stripe identity scaling (1, 1, 2, 4 down the stripes for e = 3).
     """
 
     alpha: int
     beta: int
     e: int
     ks: tuple[int, ...]
-    blocks: dict[str, tuple[tuple[int, ...], ...]]
+    blocks: Mapping[str, tuple[tuple[int, ...], ...]]
 
     def __post_init__(self) -> None:
+        blocks = {name: tuple(map(tuple, blk)) for name, blk in self.blocks.items()}
+        object.__setattr__(self, "blocks", MappingProxyType(blocks))
         _validate_ks(self.alpha, self.beta, self.ks, self.e)
         shapes = _block_shapes(self.alpha, self.beta, self.ks, self.e)
         if set(self.blocks) != set(shapes):
@@ -379,6 +382,9 @@ class StandardFormMatrix:
                 raise ValueError(f"block {name} must be {rows}x{cols}")
             if any(not 0 <= x < modulus for row in blk for x in row):
                 raise ValueError(f"block {name} entries must lie in [0,{modulus})")
+
+    def __hash__(self) -> int:
+        return hash((self.alpha, self.beta, self.e, self.ks, tuple(sorted(self.blocks.items()))))
 
     @property
     def profile(self) -> TypeProfile:

@@ -127,6 +127,14 @@ def test_verify_formula_matches(alpha, beta, e):
         assert row.match, row
 
 
+@pytest.mark.parametrize("alpha,beta,e,total", [(3, 2, 3, 4162), (1, 3, 3, 4229)])
+def test_verify_formula_at_oracle_reach(alpha, beta, e, total):
+    # the largest Z8 ambients (2^9 and 2^10 words) the suite walks
+    report = verify_formula(alpha, beta, e)
+    assert report.all_match
+    assert report.total_enumerated == report.total_formula == total
+
+
 def test_verify_covers_every_valid_profile():
     report = verify_formula(1, 1, 3)
     assert len(report.rows) == 8

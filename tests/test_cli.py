@@ -86,6 +86,21 @@ def test_count_breakdown_and_dual(capsys):
     assert "dual count = 18" in out
 
 
+def test_count_json_breakdown_and_dual(capsys):
+    code, out = run(capsys, "count", "--alpha", "2", "--beta", "2",
+                    "--k0", "1", "--k1", "1", "--k2", "1", "--k3", "0",
+                    "--breakdown", "--dual", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == "36"
+    assert doc["breakdown"] == {
+        "N1": "12", "N2": "192", "N3": "32", "N4": "1",
+        "D1": "4", "D2": "32", "D3": "16", "D4": "1",
+        "delta": 2,
+    }
+    assert doc["dual"] == {"profile": [2, 2, 1, 0, 0, 1], "count": "18"}
+
+
 def test_count_json(capsys):
     code, out = run(capsys, "count", "--alpha", "1", "--beta", "4",
                     "--k0", "1", "--k1", "2", "--k2", "1", "--k3", "1",

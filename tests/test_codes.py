@@ -124,6 +124,18 @@ def test_standard_form_shape_validation():
         zero_standard_form(TypeProfile(3, 2, 4, 0, 0, 0))  # k0 > alpha
 
 
+def test_standard_form_is_hashable_and_read_only():
+    p = TypeProfile(2, 2, 1, 1, 1, 0)
+    m, same = random_standard_form(p, 0), random_standard_form(p, 0)
+    assert m == same and hash(m) == hash(same)
+    assert len({m, same, random_standard_form(p, 1)}) == 2
+    rebuilt = StandardFormMatrix(2, 2, 3, (1, 1, 1, 0),
+                                 {name: [list(row) for row in blk] for name, blk in m.blocks.items()})
+    assert rebuilt == m and hash(rebuilt) == hash(m)
+    with pytest.raises(TypeError):
+        m.blocks["S1"] = ((0,),)
+
+
 def test_random_standard_form_is_deterministic():
     p = TypeProfile(2, 3, 1, 1, 1, 0)
     assert random_standard_form(p, 5) == random_standard_form(p, 5)
