@@ -359,8 +359,9 @@ def _validate_ks(alpha: int, beta: int, ks: tuple[int, ...], e: int) -> None:
 class StandardFormMatrix:
     """Block generator matrix in standard form, stored by its free blocks.
 
-    Blocks hold the unscaled entries, read-only and with tuple rows; `assemble`
-    applies the per-stripe identity scaling (1, 1, 2, 4 down the stripes for e = 3).
+    Blocks hold the unscaled entries, read-only and with tuple rows, and `ks`
+    is a tuple, whatever sequences were passed in; `assemble` applies the
+    per-stripe identity scaling (1, 1, 2, 4 down the stripes for e = 3).
     """
 
     alpha: int
@@ -372,6 +373,7 @@ class StandardFormMatrix:
     def __post_init__(self) -> None:
         blocks = {name: tuple(map(tuple, blk)) for name, blk in self.blocks.items()}
         object.__setattr__(self, "blocks", MappingProxyType(blocks))
+        object.__setattr__(self, "ks", tuple(self.ks))
         _validate_ks(self.alpha, self.beta, self.ks, self.e)
         shapes = _block_shapes(self.alpha, self.beta, self.ks, self.e)
         if set(self.blocks) != set(shapes):

@@ -2,10 +2,15 @@
 
 The central quantity is the number of distinct additive codes (subgroups)
 of a given type (alpha, beta; k0, k1, k2, k3), known as a Mixed Generalized
-Gaussian Number.  Two independent evaluations are kept side by side: the
+Gaussian Number.  Two independent derivations are kept side by side: the
 ordered-generator product formula and a closed form built from a power of
-two and Gaussian binomials/multinomials.  `count` always runs both and
-insists they agree.
+two and Gaussian binomials/multinomials.  Every factor of both is
+2^i (2^j - 1), so `count` factors both, with no big integer, into a power
+of two times powers of Phi_d(2), the values at 2 of the cyclotomic
+polynomials; it insists that the two factorisations are equal, exponent by
+exponent, and then multiplies the integer out once.  `count_product`
+evaluates the product formula in integers and stays the reference that the
+tests compare against, with the q-kernel in `qnum`.
 
 Specializations cover linear codes over Z8, additive codes over Z2 x Z4,
 and the classical 2-binomial coefficients, plus the duality arithmetic
@@ -14,11 +19,13 @@ relating a type to the type of its dual code.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import SelfCheckError
-from .qnum import q_binomial, q_multinomial
+from .qnum import q_binomial
 
 __all__ = [
     "TypeProfile",
@@ -159,41 +166,164 @@ def count_product(profile: TypeProfile) -> CountBreakdown:
 def delta_exponents(profile: TypeProfile) -> DeltaExponents:
     """The exponents delta and delta_bar of the closed forms (valid profiles)."""
     _require_valid(profile)
-    a = profile.alpha
-    b = profile.beta
-    k0, k1, k2, k3 = profile.ks
-    r = b - profile.l
+    return DeltaExponents(*_deltas(profile))
+
+
+def _deltas(profile: TypeProfile) -> tuple[int, int]:
+    """(delta, delta_bar), without the validity check."""
+    a, b, k0, k1, k2, k3 = profile.alpha, profile.beta, profile.k0, profile.k1, profile.k2, profile.k3
+    r = b - k1 - k2 - k3
     delta = k0 * r + k1 * (a - k0 + 2 * r + k3) + k2 * (r + (a - k0))
     delta_bar = k1 * (a - k0) + r * (k0 + 2 * k1 + k2) + k3 * (k1 + k0)
-    return DeltaExponents(delta, delta_bar)
+    return delta, delta_bar
 
 
 def count_closed_form(profile: TypeProfile) -> int:
     """2^delta * [alpha; k0]_2 * [beta; k1,k2,k3]_2; 0 for invalid profiles."""
     if not profile.is_valid():
         return 0
-    d = delta_exponents(profile).delta
-    return (
-        2**d
-        * q_binomial(profile.alpha, profile.k0, 2)
-        * q_multinomial(profile.beta, [profile.k1, profile.k2, profile.k3], 2)
-    )
+    return _evaluate(*_closed_form(profile))
 
 
 def count(profile: TypeProfile) -> int:
     """Number of distinct additive codes of the given type.
 
-    Returns the closed form after cross-checking it against the product
-    formula; a disagreement raises SelfCheckError (it would mean a bug, not
-    a bad input).  Invalid profiles count 0.
+    Both formulas are factored, with no big integer: the closed form and the
+    product formula must give the same power of two and the same exponent
+    of every Phi_d(2), the value at 2 of the d-th cyclotomic polynomial
+    (compared through the exponents of 2^j - 1, see below).  That makes
+    them agree as polynomials in q before q = 2 is put in, which is
+    stronger than agreeing as integers.  A disagreement or a negative
+    exponent raises SelfCheckError (it would mean a bug, not a bad input).
+    The integer is then built once from the factorisation.  Invalid
+    profiles count 0.
     """
-    closed = count_closed_form(profile)
-    breakdown = count_product(profile)
-    if closed != breakdown.total:
+    if not profile.is_valid():
+        return 0
+    closed = _closed_form(profile)
+    product = _product_form(profile)
+    if closed != product:
         raise SelfCheckError(
-            f"formula disagreement at {profile}: closed form {closed}, product {breakdown.total}"
+            f"formula disagreement at {profile}: the closed form and the product formula "
+            f"factor differently (exponent of 2: {closed[0]} vs {product[0]})"
         )
-    return closed
+    return _evaluate(*closed)
+
+
+# ---------------------------------------------------------------------------
+# factored evaluation
+# ---------------------------------------------------------------------------
+#
+# Every factor of both formulas is 2^i (2^j - 1), and 2^j - 1 is the product
+# of Phi_d(2) over the divisors d of j.  A formula is factored as (two, c):
+# the exponent of 2, and c[j], the net exponent of 2^j - 1 for 0 < j <= top
+# (c[0] = 0).  Its factors come in runs (lo, hi, sign), each the product of
+# (2^j - 1)^sign over lo < j <= hi.  The exponent of Phi_d(2) is
+# sum(c[d::d]), so a run adds sign * (hi//d - lo//d) to it; and c is fixed
+# by those exponents (Moebius inversion), so two formulas have the same
+# exponents of 2 and of every Phi_d(2) exactly when their (two, c) are equal.
+
+
+def _mersenne_exponents(top: int, runs) -> list[int]:
+    """c[0..top] of runs (lo, hi, sign) with hi <= top, via a difference array."""
+    c = [0] * (top + 2)
+    for lo, hi, sign in runs:
+        c[lo + 1] += sign
+        c[hi + 1] -= sign
+    return list(accumulate(c[: top + 1]))
+
+
+def _gaussian_form(two: int, alpha: int, k0: int, beta: int, parts: tuple[int, ...]) -> tuple[int, list[int]]:
+    """2^two * [alpha; k0]_2 * [beta; parts]_2.
+
+    [n; k1, k2, ...]_2 is the telescoping product [n; k1]_2 [n-k1; k2]_2 ...,
+    and [m; k]_2 is the run (m - k, m] over the run (0, k].
+    """
+    runs = []
+    for n, ks in ((alpha, (k0,)), (beta, parts)):
+        for k in ks:
+            runs += [(n - k, n, 1), (0, k, -1)]
+            n -= k
+    return two, _mersenne_exponents(max(alpha, beta), runs)
+
+
+def _closed_form(profile: TypeProfile) -> tuple[int, list[int]]:
+    """2^delta * [alpha; k0]_2 * [beta; k1,k2,k3]_2 (valid profiles)."""
+    p = profile
+    return _gaussian_form(_deltas(p)[0], p.alpha, p.k0, p.beta, (p.k1, p.k2, p.k3))
+
+
+def _product_form(profile: TypeProfile) -> tuple[int, list[int]]:
+    """N1..N4 / D1..D4 of `count_product`, read off its loop bounds (valid profiles).
+
+    The i-th factor of each Ni and Di is 2^(s+i) (2^(m-i) - 1) for i < k, with
+    the k, s and m below; over i < k that is 2^(ks + k(k-1)/2) times the run
+    (m - k, m].
+    """
+    a, b, k0, k1, k2, k3 = profile.alpha, profile.beta, profile.k0, profile.k1, profile.k2, profile.k3
+    l = k1 + k2 + k3
+    factors = (  # (sign, k, s, m)
+        (1, k0, b, a),                            # N1: (2^a - 2^i) 2^b
+        (1, k1, 2 * b + a, b),                    # N2: (8^b - 4^b 2^i) 2^a
+        (1, k2, b + k1 + a, b - k1),              # N3: (4^b - 2^(b+k1+i)) 2^a
+        (1, k3, k1 + k2, b - k1 - k2),            # N4: 2^b - 2^(k2+k1+i)
+        (-1, k0, l, k0),                          # D1: 2^(k0+l) - 2^(l+i)
+        (-1, k1, 2 * k1 + k0 + 2 * k2 + k3, k1),  # D2: (8^k1 - 4^k1 2^i) 2^(k0+2k2+k3)
+        (-1, k2, k2 + k0 + 2 * k1 + k3, k2),      # D3: (4^k2 - 2^(k2+i)) 2^(k0+2k1+k3)
+        (-1, k3, k1 + k2, k3),                    # D4: 2^l - 2^(k1+k2+i)
+    )
+    two, runs = 0, []
+    for sign, k, s, m in factors:
+        two += sign * (k * s + k * (k - 1) // 2)
+        runs.append((m - k, m, sign))
+    return two, _mersenne_exponents(max(a, b), runs)
+
+
+@functools.lru_cache(maxsize=4096)  # bounded: a long-lived process keeps at most this many values
+def _phi2(d: int) -> int:
+    """Phi_d(2), by Moebius inversion of 2^m - 1 over the divisors m of d."""
+    squarefree = [(1, 1)]  # (s, mu(s)) for the squarefree divisors s of d
+    n, p = d, 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        if n % p == 0:
+            squarefree += [(s * p, -mu) for s, mu in squarefree]
+            while n % p == 0:
+                n //= p
+        p += 1
+    num = den = 1
+    for s, mu in squarefree:
+        if mu > 0:
+            num *= (1 << d // s) - 1
+        else:
+            den *= (1 << d // s) - 1
+    phi, rem = divmod(num, den)
+    if rem:
+        raise SelfCheckError(f"Moebius inversion for Phi_{d}(2) is not exact")
+    return phi
+
+
+def _evaluate(two: int, c: list[int]) -> int:
+    """2^two times the product over d of Phi_d(2)^e, e = sum(c[d::d])."""
+    factors = []
+    for d in range(1, len(c)):
+        e = sum(c[d::d])
+        if e < 0:
+            raise SelfCheckError(f"Phi_{d}(2) has exponent {e}: the quotient is not a polynomial in 2")
+        if e and d > 1:
+            factors.append(_phi2(d) ** e)
+    if two < 0:
+        raise SelfCheckError(f"the power of two has exponent {two}")
+    return _product_tree(factors) << two
+
+
+def _product_tree(xs: list[int]) -> int:
+    """Product of xs, split into halves so that most products are of equal-size numbers."""
+    if len(xs) < 2:
+        return xs[0] if xs else 1
+    half = len(xs) // 2
+    return _product_tree(xs[:half]) * _product_tree(xs[half:])
 
 
 def count_z8(n: int, k1: int, k2: int, k3: int) -> int:
@@ -249,15 +379,12 @@ def count_dual(profile: TypeProfile) -> int:
     """Number of codes whose type is the dual of the given one.
 
     Evaluated directly as 2^delta_bar * [alpha; alpha-k0]_2 *
-    [beta; beta-l, k3, k2]_2, which agrees with count(dual_type(profile)).
+    [beta; beta-l, k3, k2]_2, through the same factored evaluation as the
+    closed form; it agrees with count(dual_type(profile)).
     """
     _require_valid(profile)
-    d = delta_exponents(profile).delta_bar
-    return (
-        2**d
-        * q_binomial(profile.alpha, profile.alpha - profile.k0, 2)
-        * q_multinomial(profile.beta, [profile.beta - profile.l, profile.k3, profile.k2], 2)
-    )
+    p = profile
+    return _evaluate(*_gaussian_form(_deltas(p)[1], p.alpha, p.alpha - p.k0, p.beta, (p.beta - p.l, p.k3, p.k2)))
 
 
 def self_dual_count_condition(profile: TypeProfile) -> bool:

@@ -136,6 +136,14 @@ def test_standard_form_is_hashable_and_read_only():
         m.blocks["S1"] = ((0,),)
 
 
+def test_standard_form_ks_list_or_tuple_give_equal_hashable_matrices():
+    blocks = dict(zero_standard_form(TypeProfile(2, 2, 1, 1, 1, 0)).blocks)
+    from_list = StandardFormMatrix(2, 2, 3, [1, 1, 1, 0], blocks)
+    from_tuple = StandardFormMatrix(2, 2, 3, (1, 1, 1, 0), blocks)
+    assert from_list.ks == (1, 1, 1, 0)
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+
+
 def test_random_standard_form_is_deterministic():
     p = TypeProfile(2, 3, 1, 1, 1, 0)
     assert random_standard_form(p, 5) == random_standard_form(p, 5)

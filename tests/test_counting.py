@@ -1,7 +1,10 @@
 """Tests for the type-counting formulas and their identities."""
 
+import time
+
 import pytest
 
+from z2z8 import counting
 from z2z8.counting import (
     TypeProfile,
     binary_binomial_identity,
@@ -18,7 +21,8 @@ from z2z8.counting import (
     self_dual_count_condition,
     valid_profiles,
 )
-from z2z8.qnum import q_binomial
+from z2z8.errors import SelfCheckError
+from z2z8.qnum import q_binomial, q_multinomial
 
 
 def N(a, b, k0, k1, k2, k3):
@@ -96,6 +100,83 @@ def test_count_z2z4(args, expected):
 def test_product_equals_closed_form_small_sweep():
     for p in valid_profiles(4, 4):
         assert count_product(p).total == count_closed_form(p), p
+
+
+def closed_form_reference(p):
+    """2^delta [alpha; k0]_2 [beta; k1,k2,k3]_2 from the telescoping integer q-kernel."""
+    return (2 ** delta_exponents(p).delta * q_binomial(p.alpha, p.k0, 2)
+            * q_multinomial(p.beta, [p.k1, p.k2, p.k3], 2))
+
+
+def test_cyclotomic_values_multiply_to_mersenne_numbers():
+    for n in range(1, 301):
+        product = 1
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product *= counting._phi2(d)
+        assert product == 2**n - 1, n
+
+
+def test_factored_count_matches_the_integer_oracles():
+    for p in valid_profiles(5, 5):
+        assert count(p) == count_product(p).total == closed_form_reference(p), p
+        assert count_closed_form(p) == count(p), p
+        d = delta_exponents(p).delta_bar
+        assert count_dual(p) == (2**d * q_binomial(p.alpha, p.alpha - p.k0, 2)
+                                 * q_multinomial(p.beta, [p.beta - p.l, p.k3, p.k2], 2)), p
+
+
+@pytest.mark.parametrize("profile", [(100, 200, 50, 50, 50, 50), (300, 400, 7, 0, 250, 1),
+                                     (40, 80, 0, 79, 0, 1), (150, 300, 150, 150, 150, 0)])
+def test_factored_count_matches_the_integer_oracles_on_large_profiles(profile):
+    p = TypeProfile(*profile)
+    assert count(p) == count_product(p).total == closed_form_reference(p)
+
+
+def test_t7_term_is_the_central_binomial_at_large_r():
+    assert N(150, 300, 150, 150, 150, 0) == q_binomial(300, 150, 2)
+
+
+def test_count_raises_when_the_product_form_disagrees(monkeypatch):
+    p = TypeProfile(4, 5, 2, 1, 1, 1)
+    product_form = counting._product_form
+
+    def more_two(profile):
+        two, c = product_form(profile)
+        return two + 1, c
+
+    def one_run_moved(profile):  # the run (m - k, m] of N1 moved to (m - k - 1, m - 1]
+        two, c = product_form(profile)
+        c = list(c)
+        c[profile.alpha - profile.k0] += 1
+        c[profile.alpha] -= 1
+        return two, c
+
+    for perturbed in (more_two, one_run_moved):
+        monkeypatch.setattr(counting, "_product_form", perturbed)
+        with pytest.raises(SelfCheckError, match="formula disagreement"):
+            count(p)
+    monkeypatch.setattr(counting, "_product_form", product_form)
+    assert count(p) == count_product(p).total
+
+
+def test_negative_cyclotomic_exponent_raises(monkeypatch):
+    # (2^2 - 1) / (2^3 - 1) gives Phi_3(2) the exponent -1: not an integer
+    not_integral = (0, [0, 0, 1, -1, 0])
+    monkeypatch.setattr(counting, "_closed_form", lambda profile: not_integral)
+    monkeypatch.setattr(counting, "_product_form", lambda profile: not_integral)
+    with pytest.raises(SelfCheckError, match="exponent -1"):
+        count(TypeProfile(4, 4, 1, 1, 1, 1))
+
+
+def test_count_needs_no_table_up_to_beta():
+    # only the divisors of 99,999 and 100,000 carry a Phi_d(2): a dense table
+    # of every Phi_d(2) up to beta would take seconds and tens of MiB
+    p = TypeProfile(1, 100000, 1, 1, 0, 0)
+    start = time.perf_counter()
+    value = count(p)
+    assert time.perf_counter() - start < 2
+    assert value == count_product(p).total
 
 
 def test_invalid_profiles_count_zero():

@@ -18,7 +18,15 @@ from z2z8.codes import (
     random_standard_form_z4,
     span,
 )
-from z2z8.counting import TypeProfile
+from z2z8.counting import (
+    TypeProfile,
+    count,
+    count_dual,
+    count_product,
+    delta_exponents,
+    dual_type,
+)
+from z2z8.qnum import q_binomial, q_multinomial
 
 few = settings(max_examples=30, deadline=None)  # few examples keep the suite fast
 
@@ -143,3 +151,23 @@ def test_phi_reduce_is_entrywise_mod_4(case):
     assert phi_reduce(c).words == {
         MixedWord(w.bin, tuple(x % 4 for x in w.mod), 2) for w in c.words
     }
+
+
+@st.composite
+def profiles(draw, max_size=60):
+    """Valid type profiles with alpha, beta <= max_size."""
+    alpha, beta = draw(st.integers(0, max_size)), draw(st.integers(0, max_size))
+    k0 = draw(st.integers(0, alpha))
+    k1 = draw(st.integers(0, beta))
+    k2 = draw(st.integers(0, beta - k1))
+    k3 = draw(st.integers(0, beta - k1 - k2))
+    return TypeProfile(alpha, beta, k0, k1, k2, k3)
+
+
+@few
+@given(profiles())
+def test_factored_count_matches_the_integer_formulas(p):
+    closed = (2 ** delta_exponents(p).delta * q_binomial(p.alpha, p.k0, 2)
+              * q_multinomial(p.beta, [p.k1, p.k2, p.k3], 2))
+    assert count(p) == count_product(p).total == closed
+    assert count_dual(p) == count(dual_type(p))
