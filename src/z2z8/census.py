@@ -1,15 +1,19 @@
 """Ground-truth engine: exhaustive subgroup enumeration and type census.
 
 Every subgroup of Z2^alpha x Z_{2^e}^beta (desk scale only) is produced by
-a breadth-first walk of the subgroup lattice, classified through
-`codes.classify_type`, and tallied into a census that `verify_formula`
-compares against the counting formulas profile by profile.
+a walk over the coordinates, classified through `codes.classify_type`, and
+tallied into a census that `verify_formula` compares against the counting
+formulas profile by profile.
 
-The walk goes layer by layer: a maximal subgroup S of a finite abelian 2-group
-T has index 2, so T = S | (S + g) for any g in T outside S, and 2g is in S.
-Layer n+1 is the set of these covers of layer n; within one S the words of a
-cover already built are skipped, so each cover of S is built once.  The walk
-runs on the packed words of `codes`, and no subgroup is decoded.
+The walk adds one coordinate at a time, the column-by-column construction
+behind echelon and Howell forms over Z_{2^e}.  A subgroup M of P x Z_m, P the
+group on the coordinates already added, is fixed by its part K in P, the
+image of its new coordinate and one coset of K in P (see `_extend`), so every
+subgroup is built exactly once, with no seen-set and no scan of the whole
+ambient.  The levels are chained generators: `census` classifies each
+subgroup as it comes and holds none of them.  The walk runs on the packed
+words of `codes`, and no subgroup is decoded.  The older walk by index-2
+covers stays as the test reference, `_subgroup_sets_by_covers`.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from typing import Iterable, Iterator
 
 from . import codes, counting
 from .codes import Code
@@ -49,7 +54,59 @@ def check_ambient_size(alpha: int, beta: int, e: int) -> None:
         )
 
 
-def _subgroup_sets(ambient: codes._Ambient) -> list[frozenset[int]]:
+def _extend(ambient: codes._Ambient, i: int, prefix: list[int],
+            subgroups: Iterable[frozenset[int]]) -> Iterator[frozenset[int]]:
+    """The subgroups of P x Z_m, from the subgroups of P.
+
+    P is the group `prefix` on the coordinates below i and Z_m, m = 2^top, is
+    coordinate i.  A subgroup M of P x Z_m is fixed by its part K in P (`sub`
+    below), by its image 2^a Z_m in coordinate i, and by the coset v + K of
+    the lifts of 2^a: the words v of P with x = v + 2^a e_i in M.  Such a v
+    needs 2^(top-a) v in K, that is, the order of v modulo K divides
+    2^(top-a).  Conversely each such triple gives M = K | K + x | K + 2x | ...,
+    so every subgroup is built once.  The moduli never decrease along the
+    coordinates, so the order of a word of P divides m.
+    """
+    mask, unit = ambient.mask, 1 << (4 * i)
+    top = ambient.moduli[i].bit_length() - 1
+    for sub in subgroups:
+        yield sub
+        # lifts[b]: one word of each coset of `sub` in P of order 2^b modulo `sub`
+        lifts: list[list[int]] = [[0]] + [[] for _ in range(top)]
+        covered = set(sub)
+        for v in prefix:
+            if v not in covered:
+                covered.update([(w + v) & mask for w in sub])
+                b, y = 1, (v + v) & mask
+                while y not in sub:
+                    b, y = b + 1, (y + y) & mask
+                lifts[b].append(v)
+        for b in range(1, top + 1):
+            image = unit << (top - b)  # 2^a e_i with a = top - b
+            for v in chain.from_iterable(lifts[: b + 1]):
+                yield ambient.adjoin(sub, v | image)
+
+
+def _subgroup_stream(ambient: codes._Ambient) -> Iterator[frozenset[int]]:
+    """Every subgroup of the ambient group, once each, adding one coordinate
+    at a time.  The levels are chained generators, so a walk holds one
+    subgroup per coordinate and no list of them."""
+    level: Iterable[frozenset[int]] = [frozenset([0])]
+    for i, prefix in zip(range(len(ambient.moduli)), ambient.prefixes()):
+        level = _extend(ambient, i, prefix, level)
+    return iter(level)
+
+
+def _subgroup_sets_by_covers(ambient: codes._Ambient) -> list[frozenset[int]]:
+    """Test reference for `_subgroup_stream`: the lattice walked layer by
+    layer, ordered as `enumerate_subgroups` orders it.
+
+    A maximal subgroup S of a finite abelian 2-group T has index 2, so
+    T = S | (S + g) for any g in T outside S, and 2g is in S.  Layer n+1 is
+    the set of these covers of layer n.  Each subgroup is built once per
+    maximal subgroup and every S scans the whole ambient, so nothing but the
+    tests calls this.
+    """
     mask, elements = ambient.mask, ambient.elements()
     layer = [frozenset([0])]
     ordered: list[frozenset[int]] = []
@@ -74,7 +131,8 @@ def enumerate_subgroups(alpha: int, beta: int, e: int = 3) -> list[Code]:
     """
     check_ambient_size(alpha, beta, e)
     ambient = codes._Ambient(alpha, beta, e)
-    return [Code._from_packed(ambient, sub) for sub in _subgroup_sets(ambient)]
+    subgroups = sorted(_subgroup_stream(ambient), key=lambda s: (len(s), sorted(s)))
+    return [Code._from_packed(ambient, sub) for sub in subgroups]
 
 
 @dataclass(frozen=True)
@@ -90,11 +148,18 @@ class TypeCensus:
 
 
 def census(alpha: int, beta: int, e: int = 3) -> TypeCensus:
-    """Enumerate all subgroups and tally them by classified type."""
-    subgroups = enumerate_subgroups(alpha, beta, e)
-    types = (codes.classify_type(code) for code in subgroups)
+    """Enumerate all subgroups and tally them by classified type.
+
+    The subgroups stream from the walk and are classified as they come, so
+    the census holds none of them.
+    """
+    check_ambient_size(alpha, beta, e)
+    ambient = codes._Ambient(alpha, beta, e)
+    types = (codes.classify_type(Code._from_packed(ambient, sub))
+             for sub in _subgroup_stream(ambient))
     tallies = Counter(t.ks if e == 3 else t for t in types)
-    return TypeCensus(alpha, beta, e, dict(sorted(tallies.items())), len(subgroups), "enumeration")
+    total = sum(tallies.values())
+    return TypeCensus(alpha, beta, e, dict(sorted(tallies.items())), total, "enumeration")
 
 
 def formula_census(alpha: int, beta: int, e: int = 3) -> TypeCensus:

@@ -156,7 +156,8 @@ class _Ambient:
     Entries stay below 8, so the sum of two words never carries from one
     nibble into the next and addition is one add-and-mask.  A left shift by
     more than one does carry, so multiples are taken by repeated addition.
-    Construction builds no words; `elements` materializes the group on demand.
+    Construction builds no words; `elements` and `prefixes` materialize the
+    group on demand.
     """
 
     def __init__(self, alpha: int, beta: int, e: int):
@@ -180,10 +181,17 @@ class _Ambient:
     def double(self, x: int) -> int:
         return (x + x) & self.mask
 
-    def elements(self) -> list[int]:
+    def prefixes(self) -> Iterator[list[int]]:
+        """The groups on the first i coordinates, for i = 0 .. alpha + beta:
+        the words whose coordinates i and above are zero."""
         words = [0]
+        yield words
         for i, m in enumerate(self.moduli):
             words = [x | d << (4 * i) for d in range(m) for x in words]
+            yield words
+
+    def elements(self) -> list[int]:
+        *_, words = self.prefixes()
         return words
 
     def adjoin(self, group: frozenset[int], g: int) -> frozenset[int]:

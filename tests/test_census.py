@@ -2,17 +2,19 @@
 
 import json
 import time
+import tracemalloc
 
 import pytest
 
 from z2z8.census import (
+    _subgroup_sets_by_covers,
     census,
     census_to_json,
     enumerate_subgroups,
     formula_census,
     verify_formula,
 )
-from z2z8.codes import MixedWord, classify_type, span
+from z2z8.codes import MixedWord, _Ambient, classify_type, span
 from z2z8.errors import AmbientTooLargeError
 
 
@@ -54,6 +56,25 @@ def test_enumeration_finds_known_subgroups():
     assert span([MixedWord((1,), (2,))]).words in {c.words for c in subs}
 
 
+# Every ambient of at most 2^8 words with alpha <= 4, (2,2,3) among them, and
+# (3,2,3) of 2^9 words.  The cover walk costs its subgroups times the ambient
+# words: 0.35 s for (5,1,3), 1 s for Z2^7 (29,212 subgroups), 3 s for
+# (6,1,2) and 28 s for Z2^8 (417,199), so larger alpha is left out.
+COVER_WALK_AMBIENTS = [
+    (alpha, beta, e)
+    for e in (2, 3)
+    for beta in range(8 // e + 1)
+    for alpha in range(min(4, 8 - e * beta) + 1)
+] + [(3, 2, 3)]
+
+
+@pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
+def test_coordinate_walk_matches_cover_walk(alpha, beta, e):
+    # the same packed subgroups, in the same order, as the lattice walk by covers
+    subs = enumerate_subgroups(alpha, beta, e)
+    assert [c._packed for c in subs] == _subgroup_sets_by_covers(_Ambient(alpha, beta, e))
+
+
 def test_guard_rejects_large_ambient():
     with pytest.raises(AmbientTooLargeError):
         enumerate_subgroups(4, 4, 3)  # exactly 2^16 words: at the guard
@@ -87,6 +108,19 @@ def test_census_z4_golden_entries():
     c = census(2, 2, 2)
     assert c.counts[(1, 1, 1)] == 18
     assert c.total_subgroups == 249
+
+
+def test_census_streams_the_subgroups():
+    # census classifies each subgroup as the walk yields it and keeps none
+    def peak(f):
+        tracemalloc.start()
+        try:
+            f(2, 2, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(census) < peak(enumerate_subgroups) / 2
 
 
 def test_census_small():
@@ -127,9 +161,12 @@ def test_verify_formula_matches(alpha, beta, e):
         assert row.match, row
 
 
-@pytest.mark.parametrize("alpha,beta,e,total", [(3, 2, 3, 4162), (1, 3, 3, 4229)])
+@pytest.mark.parametrize(
+    "alpha,beta,e,total",
+    [(3, 2, 3, 4162), (1, 3, 3, 4229), (3, 3, 2, 33858), (0, 4, 3, 43339)],
+)
 def test_verify_formula_at_oracle_reach(alpha, beta, e, total):
-    # the largest Z8 ambients (2^9 and 2^10 words) the suite walks
+    # the largest ambients the suite walks, 2^9 to 2^12 words
     report = verify_formula(alpha, beta, e)
     assert report.all_match
     assert report.total_enumerated == report.total_formula == total

@@ -227,6 +227,14 @@ def test_verify_small_ambient(capsys):
     assert "all 8 profiles match" in out
 
 
+def test_verify_at_oracle_reach(capsys):
+    # 33,858 subgroups of a 2^9-word ambient: the whole census in one command
+    code, out = run(capsys, "verify", "--alpha", "3", "--beta", "3", "--e", "2")
+    assert code == 0
+    assert "total subgroups: 33858" in out
+    assert "all 40 profiles match" in out
+
+
 def test_verify_json(capsys):
     code, out = run(capsys, "verify", "--alpha", "1", "--beta", "1", "--e", "2")
     assert code == 0
