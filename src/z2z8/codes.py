@@ -7,8 +7,10 @@ output, and its arithmetic is the reference the packed kernel is tested
 against.  Generator matrices in standard block form are assembled from
 their named free blocks, spans are materialized explicitly, and an
 arbitrary subgroup can be classified back to its type from torsion sizes
-alone.  The parity-check construction is validated behaviorally against
-`dual_bruteforce`, which searches the ambient group exhaustively.
+alone.  The parity-check matrix of a standard form is read off (U^-1)^T,
+where U is the unitriangular matrix that the A_ij blocks form; it is
+validated behaviorally against `dual_bruteforce`, which searches the
+ambient group exhaustively.
 """
 
 from __future__ import annotations
@@ -233,7 +235,6 @@ class Code:
         self.alpha, self.beta, self.e = ambient.alpha, ambient.beta, ambient.e
         self._ambient = ambient
         self._packed = packed
-        self._profile = None
 
     @cached_property
     def words(self) -> frozenset[MixedWord]:
@@ -302,8 +303,6 @@ def classify_type(code: Code):
     k_1 + ... + k_i = s_(e-i+1) - s_(e-i) for i < e, k_1 + ... + k_e = z,
     and k0 = s_1 - z.
     """
-    if code._profile is not None:
-        return code._profile
     words, mask, e = code._packed, code._ambient.mask, code.e
     _log2_exact(len(words), "code")
     if 0 not in words:
@@ -324,8 +323,7 @@ def classify_type(code: Code):
     ks = (s[1] - z, *(b - a for a, b in zip(tops, tops[1:])))
     if min(ks) < 0:
         raise NotASubgroupError(f"inconsistent torsion profile (s={s[1:]}, z={z})")
-    code._profile = TypeProfile(code.alpha, code.beta, *ks) if e == 3 else ks
-    return code._profile
+    return TypeProfile(code.alpha, code.beta, *ks) if e == 3 else ks
 
 
 # ---------------------------------------------------------------------------
@@ -476,92 +474,53 @@ class ParityCheckMatrix:
     rows: tuple[MixedWord, ...]
 
 
-def _transpose(blk: Sequence[Sequence[int]], rows: int, cols: int):
-    # blk is rows x cols; return cols x rows as nested tuples of plain ints
-    return tuple(tuple(blk[r][c] for r in range(rows)) for c in range(cols))
-
-
-def _matmul(x, y, inner: int, cols: int):
-    # integer matrix product with explicit shape so empty blocks keep width
-    return tuple(
-        tuple(sum(xr[i] * y[i][c] for i in range(inner)) for c in range(cols))
-        for xr in x
-    )
-
-
-def _madd(*ms):
-    out = ms[0]
-    for m in ms[1:]:
-        out = tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(out, m))
-    return out
-
-
-def _mscale(c, m):
-    return tuple(tuple(c * x for x in row) for row in m)
-
-
 def parity_check(matrix: StandardFormMatrix) -> ParityCheckMatrix:
     """Generator matrix of the dual of a standard-form code (e = 3 only).
 
-    Entries are formed from transposes and products of the free blocks and
-    reduced to canonical residues per column stripe (mod 2 on binary
-    columns, mod 8 on Z8 columns).
+    The blocks A_ij form a block unitriangular matrix U on the modular column
+    stripes k_1, ..., k_e, r_e, and the modular part of row stripe i of the
+    code is 2^(i-1) times row stripe i-1 of U.  W = (U^-1)^T is built row by
+    row by forward substitution, W[c] = e_c - sum over m < c of U[m][c] W[m],
+    so that U W^T = I.  The dual is then generated by:
+    - the binary stripe (-Abar01^T | I), whose modular part
+      -sum_s 2^(e-s) S_s^T W_(s-1) cancels the binary part S_s of row stripe s;
+    - for each stripe j = e, ..., 1, the rows 2^(e-j) W_j, with -T0e^T on the
+      binary part of stripe e.
+    Entries are reduced mod 2 on binary columns and mod 2^e on the others.
     """
     if matrix.e != 3:
         raise ValueError("parity-check construction is only provided for e = 3")
-    a, b = matrix.alpha, matrix.beta
-    k0, k1, k2, k3 = matrix.ks
-    r0 = a - k0
-    r3 = b - (k1 + k2 + k3)
+    alpha, beta, e, ks, blocks = matrix.alpha, matrix.beta, matrix.e, matrix.ks, matrix.blocks
+    mod, r0 = 1 << e, alpha - ks[0]
+    widths = (*ks[1:], beta - sum(ks[1:]))  # modular column stripes k_1..k_e, r_e
+    starts = tuple(accumulate(widths, initial=0))
+    w: list[tuple[int, ...]] = []  # the rows of W
 
-    abar01_t = _transpose(matrix.blocks["Abar01"], k0, r0)
-    t03_t = _transpose(matrix.blocks["T03"], k0, r3)
-    s1_t = _transpose(matrix.blocks["S1"], k1, r0)
-    s2_t = _transpose(matrix.blocks["S2"], k2, r0)
-    a01_t = _transpose(matrix.blocks["A01"], k1, k2)
-    a02_t = _transpose(matrix.blocks["A02"], k1, k3)
-    a03_t = _transpose(matrix.blocks["A03"], k1, r3)
-    a12_t = _transpose(matrix.blocks["A12"], k2, k3)
-    a13_t = _transpose(matrix.blocks["A13"], k2, r3)
-    a23_t = _transpose(matrix.blocks["A23"], k3, r3)
+    def combine(start: tuple[int, ...], terms: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+        """start plus the sum of coef * W[m] over (coef, m) in terms, mod 2^e."""
+        out = start
+        for coef, m in terms:
+            if coef:
+                out = tuple((x + coef * y) % mod for x, y in zip(out, w[m]))
+        return out
 
-    # the k1-wide column stack sitting over all four row stripes
-    p0 = _madd(_mscale(-4, s1_t), _mscale(2, _matmul(s2_t, a01_t, k2, k1)))
-    p1 = _madd(
-        _mscale(-1, a03_t),
-        _matmul(a13_t, a01_t, k2, k1),
-        _matmul(a23_t, a02_t, k3, k1),
-        _mscale(-1, _matmul(a23_t, _matmul(a12_t, a01_t, k2, k1), k3, k1)),
-    )
-    p2 = _madd(_mscale(-2, a02_t), _mscale(2, _matmul(a12_t, a01_t, k2, k1)))
-    p3 = _mscale(-4, a01_t)
+    for j, width in enumerate(widths):  # U[starts[i] + r][starts[j] + c] is A_ij[r][c]
+        for c in range(width):
+            w.append(combine(_unit(beta, starts[j] + c), (
+                (-blocks[f"A{i}{j}"][r][c], starts[i] + r) for i in range(j) for r in range(widths[i]))))
 
-    q1 = _madd(_mscale(-1, a13_t), _matmul(a23_t, a12_t, k3, k2))  # k2 cols of stripe 1
-
-    def bin2(v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(x % 2 for x in v)
-
-    def mod8(v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(x % 8 for x in v)
-
-    rows: list[MixedWord] = []
-    for i in range(r0):
-        bin_part = bin2(tuple(-x for x in abar01_t[i])) + _unit(r0, i)
-        mod_part = mod8(p0[i] + tuple(-2 * x for x in s2_t[i]) + (0,) * k3 + (0,) * r3)
-        rows.append(MixedWord(bin_part, mod_part, 3))
-    for i in range(r3):
-        bin_part = bin2(tuple(-x for x in t03_t[i])) + (0,) * r0
-        mod_part = mod8(p1[i] + q1[i] + tuple(-x for x in a23_t[i]) + _unit(r3, i))
-        rows.append(MixedWord(bin_part, mod_part, 3))
-    for i in range(k3):
-        bin_part = (0,) * a
-        mod_part = mod8(p2[i] + tuple(-2 * x for x in a12_t[i]) + tuple(2 * x for x in _unit(k3, i)) + (0,) * r3)
-        rows.append(MixedWord(bin_part, mod_part, 3))
-    for i in range(k2):
-        bin_part = (0,) * a
-        mod_part = mod8(p3[i] + tuple(4 * x for x in _unit(k2, i)) + (0,) * k3 + (0,) * r3)
-        rows.append(MixedWord(bin_part, mod_part, 3))
-    return ParityCheckMatrix(a, b, 3, tuple(rows))
+    zero = (0,) * beta
+    rows = [  # -x = x mod 2 on the binary columns
+        MixedWord(tuple(row[t] for row in blocks["Abar01"]) + _unit(r0, t),
+                  combine(zero, ((-(1 << (e - s)) * blocks[f"S{s}"][r][t], starts[s - 1] + r)
+                                 for s in range(1, e) for r in range(ks[s]))), e)
+        for t in range(r0)
+    ]
+    for j in range(e, 0, -1):
+        for c in range(widths[j]):
+            bin_part = tuple(row[c] for row in blocks[f"T0{e}"]) + (0,) * r0 if j == e else (0,) * alpha
+            rows.append(MixedWord(bin_part, combine(zero, [(1 << (e - j), starts[j] + c)]), e))
+    return ParityCheckMatrix(alpha, beta, e, tuple(rows))
 
 
 def dual_bruteforce(code: Code) -> Code:

@@ -200,6 +200,12 @@ def count(profile: TypeProfile) -> int:
     """
     if not profile.is_valid():
         return 0
+    return _evaluate(*_agreed_form(profile))
+
+
+def _agreed_form(profile: TypeProfile) -> tuple[int, list[int]]:
+    """The factorisation (two, c) on which the closed form and the product
+    formula agree (valid profiles); SelfCheckError if they do not."""
     closed = _closed_form(profile)
     product = _product_form(profile)
     if closed != product:
@@ -207,7 +213,7 @@ def count(profile: TypeProfile) -> int:
             f"formula disagreement at {profile}: the closed form and the product formula "
             f"factor differently (exponent of 2: {closed[0]} vs {product[0]})"
         )
-    return _evaluate(*closed)
+    return closed
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +335,17 @@ def _product_tree(xs: list[int]) -> int:
 def count_z8(n: int, k1: int, k2: int, k3: int) -> int:
     """Number of distinct linear codes of type (k1,k2,k3) over Z8^n.
 
-    Equal to count(1, n; 1, k1, k2, k3) divided by 2^(n - k1 - k2 - k3);
-    the power of two always divides exactly.
+    Equal to count(1, n; 1, k1, k2, k3) divided by 2^(n - k1 - k2 - k3).
+    The division comes off the exponent of 2 of the factorisation, and
+    `_evaluate` raises SelfCheckError if that exponent goes negative.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    full = count(TypeProfile(1, n, 1, k1, k2, k3))
-    if full == 0:
+    profile = TypeProfile(1, n, 1, k1, k2, k3)
+    if not profile.is_valid():
         return 0
-    r = n - (k1 + k2 + k3)
-    quot, rem = divmod(full, 2**r)
-    if rem:
-        raise SelfCheckError(f"Z8 specialization not divisible by 2^{r} at n={n}")
-    return quot
+    two, c = _agreed_form(profile)
+    return _evaluate(two - (n - profile.l), c)
 
 
 def count_z2z4(alpha: int, beta: int, k0: int, k1: int, k2: int) -> int:
@@ -563,45 +567,25 @@ def check_identities(max_alpha: int, max_beta: int) -> IdentityReport:
 
     sweep("h", "delta - delta_bar = alpha*k2 - k0*(k2+k3)", cases_h())
 
-    def cases_lemma4_literal():
-        # canonical documented counterexample first, so the report names it
-        if A >= 2 and B >= 2:
-            yield ("(2,2;2,1,0,0)", _n(2, 2, 2, 1, 0, 0), _n(1, 2, 1, 1, 0, 0))
-        for a in range(1, A + 1):
-            for b in range(1, B + 1):
-                for k1 in range(b + 1):
-                    for k2 in range(b - k1 + 1):
-                        for k3 in range(b - k1 - k2 + 1):
-                            yield (
-                                f"({a},{b};{a},{k1},{k2},{k3})",
-                                _n(a, b, a, k1, k2, k3),
-                                _n(1, b, 1, k1, k2, k3),
-                            )
+    # (N(a,b;a,k1,k2,k3), N(1,b;1,k1,k2,k3)) for a, b >= 1, shared by both readings
+    lemma4 = [(p, count(p), _n(1, p.beta, 1, p.k1, p.k2, p.k3))
+              for p in valid_profiles(A, B) if p.k0 == p.alpha >= 1 and p.beta >= 1]
+    # canonical documented counterexample first, so the report names it
+    canonical = []
+    if A >= 2 and B >= 2:
+        canonical.append(("(2,2;2,1,0,0)", _n(2, 2, 2, 1, 0, 0), _n(1, 2, 1, 1, 0, 0)))
 
     sweep(
         "lemma4-literal",
         "N(a,b;a,k1,k2,k3) = N(1,b;1,k1,k2,k3) for all a >= 1 (misstated; fails)",
-        cases_lemma4_literal(),
+        canonical + [(str(p), lhs, rhs) for p, lhs, rhs in lemma4],
         expected=False,
     )
-
-    def cases_lemma4_corrected():
-        for a in range(1, A + 1):
-            for b in range(1, B + 1):
-                for k1 in range(b + 1):
-                    for k2 in range(b - k1 + 1):
-                        for k3 in range(b - k1 - k2 + 1):
-                            factor = 2 ** ((a - 1) * (b - k1 - k2 - k3))
-                            yield (
-                                f"({a},{b};{a},{k1},{k2},{k3})",
-                                _n(a, b, a, k1, k2, k3),
-                                factor * _n(1, b, 1, k1, k2, k3),
-                            )
 
     sweep(
         "lemma4-corrected",
         "N(a,b;a,k1,k2,k3) = 2^((a-1)(b-l)) N(1,b;1,k1,k2,k3)",
-        cases_lemma4_corrected(),
+        [(str(p), lhs, 2 ** ((p.alpha - 1) * (p.beta - p.l)) * rhs) for p, lhs, rhs in lemma4],
     )
 
     def cases_self_dual():

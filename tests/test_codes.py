@@ -1,5 +1,7 @@
 """Tests for words, standard forms, spans, classification and duality."""
 
+import hashlib
+
 import pytest
 
 from z2z8.codes import (
@@ -274,6 +276,20 @@ def test_parity_rows_generate_the_exact_dual(profile):
         c = span(assemble(m))
         h_span = span(list(parity_check(m).rows), alpha=p.alpha, beta=p.beta, e=3)
         assert h_span == dual_bruteforce(c), (p, seed)
+
+
+# sha256 of format_matrix(alpha, beta, 3, parity rows) over every valid profile
+# with alpha, beta <= 4 and seeds 0-2, in valid_profiles order
+PARITY_ROWS_SHA256 = "489f228df8d358be0b364335cc9877f78a13af4f264cd3cbd81160e547d6bcda"
+
+
+def test_parity_check_rows_golden():
+    digest = hashlib.sha256()
+    for p in valid_profiles(4, 4):
+        for seed in range(3):
+            rows = parity_check(random_standard_form(p, seed)).rows
+            digest.update(format_matrix(p.alpha, p.beta, 3, rows).encode())
+    assert digest.hexdigest() == PARITY_ROWS_SHA256
 
 
 def test_parity_check_requires_e3():

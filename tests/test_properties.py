@@ -1,6 +1,7 @@
 """Property tests: the packed word kernel against the `MixedWord` reference
 arithmetic, and the laws that spans, duals, classification and the mod-4
-reduction obey on random small codes, for e in {2, 3}."""
+reduction obey on random small codes, for e in {2, 3}; the parity-check
+rows of a random e = 3 standard form against the brute-force dual."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from z2z8.codes import (
     classify_type,
     dual_bruteforce,
     inner_product,
+    parity_check,
     phi_reduce,
     random_standard_form,
     random_standard_form_z4,
@@ -141,6 +143,27 @@ def test_classify_round_trips_standard_forms(case):
         expected = ks
         m = random_standard_form_z4(alpha, beta, *ks, seed=seed)
     assert classify_type(span(assemble(m), alpha=alpha, beta=beta, e=e)) == expected
+
+
+@st.composite
+def z8_standard_forms(draw, max_bits=12):
+    """(profile, seed): a valid e = 3 profile with alpha + 3 beta <= max_bits."""
+    beta = draw(st.integers(0, max_bits // 3))
+    alpha = draw(st.integers(0, max_bits - 3 * beta))
+    k0 = draw(st.integers(0, alpha))
+    k1 = draw(st.integers(0, beta))
+    k2 = draw(st.integers(0, beta - k1))
+    k3 = draw(st.integers(0, beta - k1 - k2))
+    return TypeProfile(alpha, beta, k0, k1, k2, k3), draw(st.integers(0, 2**16))
+
+
+@few
+@given(z8_standard_forms())
+def test_parity_rows_span_the_dual(case):
+    p, seed = case
+    m = random_standard_form(p, seed)
+    h = span(list(parity_check(m).rows), alpha=p.alpha, beta=p.beta, e=3)
+    assert h == dual_bruteforce(span(assemble(m), alpha=p.alpha, beta=p.beta, e=3))
 
 
 @few
