@@ -35,7 +35,8 @@ FAMILIES: dict[str, tuple[tuple[tuple[int, int], ...], int]] = {
 
 MAX_SEQUENCE_SPAN = 10**4
 
-_AFFINE_RE = re.compile(r"(?:(\d*)\*?r)?([+-]?\d+)?")
+# a*r, then b; a sign must part the r term from b, so 'r1' and '2r3' are rejected
+_AFFINE_RE = re.compile(r"(?:(\d*)\*?r(?=[+-]|$))?([+-]?\d+)?")
 
 
 class UsageError(Exception):
@@ -118,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=int, choices=[2, 3], default=3)
     p.add_argument("--seed", type=_nonneg, default=0)
     p.add_argument("--zero", action="store_true", help="use all-zero free blocks instead of seeded random ones")
-    p.add_argument("--parity", action="store_true", help="also emit the parity-check matrix")
+    p.add_argument("--parity", action="store_true",
+                   help="also emit the parity-check matrix, whose rows generate the dual code (e = 2 or 3)")
     p.add_argument("--span", action="store_true", help="also emit every codeword")
 
     p = sub.add_parser("census-export", parents=[common],
@@ -271,26 +273,17 @@ def cmd_check_identities(args) -> tuple[int, str]:
 
 
 def cmd_matrix(args) -> tuple[int, str]:
-    ks = (args.k0, args.k1, args.k2) if args.e == 2 else (args.k0, args.k1, args.k2, args.k3)
     if args.e == 2 and args.k3:
         raise UsageError("--k3 has no meaning for e = 2 profiles")
+    ks = (args.k0, args.k1, args.k2, args.k3)[: args.e + 1]
     try:
-        if args.zero and args.e == 3:
-            m = codes.zero_standard_form(TypeProfile(args.alpha, args.beta, *ks))
-        elif args.zero:
-            m = codes.zero_standard_form_z4(args.alpha, args.beta, *ks)
-        elif args.e == 3:
-            m = codes.random_standard_form(TypeProfile(args.alpha, args.beta, *ks), args.seed)
-        else:
-            m = codes.random_standard_form_z4(args.alpha, args.beta, *ks, seed=args.seed)
+        m = codes._standard_form(args.alpha, args.beta, ks, args.e, None if args.zero else args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
     rows = codes.assemble(m)
     sections: list[tuple[str, list]] = [("generator", rows)]
     if args.parity:
-        if args.e != 3:
-            raise UsageError("--parity is only available for e = 3")
         sections.append(("parity-check", list(codes.parity_check(m).rows)))
     if args.span:
         check_ambient_size(args.alpha, args.beta, args.e)

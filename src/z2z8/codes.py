@@ -180,9 +180,6 @@ class _Ambient:
         digits = _unpack(x, self.alpha + self.beta)
         return MixedWord(digits[: self.alpha], digits[self.alpha:], self.e)
 
-    def double(self, x: int) -> int:
-        return (x + x) & self.mask
-
     def prefixes(self) -> Iterator[list[int]]:
         """The groups on the first i coordinates, for i = 0 .. alpha + beta:
         the words whose coordinates i and above are zero."""
@@ -429,9 +426,12 @@ def assemble(matrix: StandardFormMatrix) -> list[MixedWord]:
     return rows
 
 
-def _standard_form(alpha: int, beta: int, ks: tuple[int, ...], e: int, entry) -> StandardFormMatrix:
-    """Standard form whose free blocks are filled by entry(modulus), block by
-    block in name order and row by row within a block."""
+def _standard_form(alpha: int, beta: int, ks: tuple[int, ...], e: int,
+                   seed: int | None) -> StandardFormMatrix:
+    """Standard form whose free blocks are all zero (seed None) or drawn
+    uniformly by random.Random(seed), block by block in name order and row by
+    row within a block."""
+    entry = (lambda m: 0) if seed is None else random.Random(seed).randrange
     shapes = sorted(_block_shapes(alpha, beta, ks, e).items())
     return StandardFormMatrix(alpha, beta, e, ks, {
         name: tuple(tuple(entry(modulus) for _ in range(cols)) for _ in range(rows))
@@ -441,23 +441,21 @@ def _standard_form(alpha: int, beta: int, ks: tuple[int, ...], e: int, entry) ->
 
 def zero_standard_form(profile: TypeProfile) -> StandardFormMatrix:
     """Standard form over Z8 columns with every free block zero."""
-    return _standard_form(profile.alpha, profile.beta, profile.ks, 3, lambda m: 0)
+    return _standard_form(profile.alpha, profile.beta, profile.ks, 3, None)
 
 
 def zero_standard_form_z4(alpha: int, beta: int, k0: int, k1: int, k2: int) -> StandardFormMatrix:
-    return _standard_form(alpha, beta, (k0, k1, k2), 2, lambda m: 0)
+    return _standard_form(alpha, beta, (k0, k1, k2), 2, None)
 
 
 def random_standard_form(profile: TypeProfile, seed: int) -> StandardFormMatrix:
     """Standard form with uniformly drawn free blocks; reproducible per seed."""
-    if not profile.is_valid():
-        raise ValueError(f"invalid type profile {profile}")
-    return _standard_form(profile.alpha, profile.beta, profile.ks, 3, random.Random(seed).randrange)
+    return _standard_form(profile.alpha, profile.beta, profile.ks, 3, seed)
 
 
 def random_standard_form_z4(alpha: int, beta: int, k0: int, k1: int, k2: int,
                             seed: int) -> StandardFormMatrix:
-    return _standard_form(alpha, beta, (k0, k1, k2), 2, random.Random(seed).randrange)
+    return _standard_form(alpha, beta, (k0, k1, k2), 2, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +464,8 @@ def random_standard_form_z4(alpha: int, beta: int, k0: int, k1: int, k2: int,
 
 @dataclass(frozen=True)
 class ParityCheckMatrix:
-    """Generator rows for the dual code, in block row stripes (a-k0, b-l, k3, k2)."""
+    """Generator rows for the dual code, in block row stripes
+    (alpha-k0, beta-l, k_e, ..., k_2) with l = k_1 + ... + k_e."""
 
     alpha: int
     beta: int
@@ -475,7 +474,7 @@ class ParityCheckMatrix:
 
 
 def parity_check(matrix: StandardFormMatrix) -> ParityCheckMatrix:
-    """Generator matrix of the dual of a standard-form code (e = 3 only).
+    """Generator matrix of the dual of a standard-form code, for e = 2 or 3.
 
     The blocks A_ij form a block unitriangular matrix U on the modular column
     stripes k_1, ..., k_e, r_e, and the modular part of row stripe i of the
@@ -486,10 +485,10 @@ def parity_check(matrix: StandardFormMatrix) -> ParityCheckMatrix:
       -sum_s 2^(e-s) S_s^T W_(s-1) cancels the binary part S_s of row stripe s;
     - for each stripe j = e, ..., 1, the rows 2^(e-j) W_j, with -T0e^T on the
       binary part of stripe e.
-    Entries are reduced mod 2 on binary columns and mod 2^e on the others.
+    The row stripes have sizes (alpha-k0, beta-l, k_e, ..., k_2), where
+    l = k_1 + ... + k_e.  Entries are reduced mod 2 on binary columns and
+    mod 2^e on the others.
     """
-    if matrix.e != 3:
-        raise ValueError("parity-check construction is only provided for e = 3")
     alpha, beta, e, ks, blocks = matrix.alpha, matrix.beta, matrix.e, matrix.ks, matrix.blocks
     mod, r0 = 1 << e, alpha - ks[0]
     widths = (*ks[1:], beta - sum(ks[1:]))  # modular column stripes k_1..k_e, r_e

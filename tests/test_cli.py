@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from z2z8.cli import FAMILIES, family_term, main, parse_affine
+from z2z8.codes import dual_bruteforce, parse_words, span
 from z2z8.counting import TypeProfile, count
 
 
@@ -212,8 +213,10 @@ def test_parse_affine():
     assert parse_affine("7") == (0, 7)
     from z2z8.cli import UsageError
 
-    with pytest.raises(UsageError):
-        parse_affine("x+1")
+    for bad in ("x+1", "r1", "2r3"):  # a sign must part the r term from the constant
+        with pytest.raises(UsageError):
+            parse_affine(bad)
+        assert main(["sequence", "--exprs", f"{bad},2,r,1,1,0"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +335,18 @@ def test_matrix_span_guard(capsys):
     assert code == 3
 
 
-def test_matrix_parity_rejected_for_z4(capsys):
-    code = main(["matrix", "--alpha", "1", "--beta", "1",
-                 "--k0", "1", "--k1", "0", "--k2", "0", "--e", "2", "--parity"])
-    capsys.readouterr()
-    assert code == 2
+def test_matrix_z4_parity_rows_span_the_dual(capsys):
+    args = ("matrix", "--alpha", "2", "--beta", "3", "--k0", "1", "--k1", "1",
+            "--k2", "1", "--e", "2", "--seed", "4", "--parity")
+    code, out = run(capsys, *args)
+    assert code == 0
+    generator, parity = (parse_words(chunk)[3] for chunk in out.split("# parity-check\n"))
+    code, out = run(capsys, *args, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert [[list(w.bin), list(w.mod)] for w in parity] == doc["parity"]
+    assert [[list(w.bin), list(w.mod)] for w in generator] == doc["rows"]
+    assert span(parity, alpha=2, beta=3, e=2) == dual_bruteforce(span(generator))
 
 
 def test_matrix_json_lists_rows(capsys):

@@ -292,11 +292,6 @@ def test_parity_check_rows_golden():
     assert digest.hexdigest() == PARITY_ROWS_SHA256
 
 
-def test_parity_check_requires_e3():
-    with pytest.raises(ValueError):
-        parity_check(zero_standard_form_z4(1, 1, 1, 0, 0))
-
-
 def test_dual_of_trivial_code_is_everything():
     c = span([], alpha=1, beta=1, e=3)
     assert len(dual_bruteforce(c)) == 16

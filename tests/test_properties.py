@@ -1,7 +1,8 @@
 """Property tests: the packed word kernel against the `MixedWord` reference
 arithmetic, and the laws that spans, duals, classification and the mod-4
 reduction obey on random small codes, for e in {2, 3}; the parity-check
-rows of a random e = 3 standard form against the brute-force dual."""
+rows of a random standard form, over either ring, against the brute-force
+dual."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,10 +81,10 @@ def test_packed_kernel_matches_reference(data):
     x, y = kernel.encode(u), kernel.encode(v)
     assert kernel.decode(x) == u
     assert kernel.decode((x + y) & kernel.mask) == u + v
-    assert kernel.decode(kernel.double(x)) == 2 * u
+    assert kernel.decode((x + x) & kernel.mask) == 2 * u
     order, z = 1, x
     while z:
-        z = kernel.double(z)
+        z = (z + z) & kernel.mask
         order *= 2
     assert order == u.order()
     assert (x & kernel.bin_mask == 0) == (not any(u.bin))
@@ -146,24 +147,28 @@ def test_classify_round_trips_standard_forms(case):
 
 
 @st.composite
-def z8_standard_forms(draw, max_bits=12):
-    """(profile, seed): a valid e = 3 profile with alpha + 3 beta <= max_bits."""
-    beta = draw(st.integers(0, max_bits // 3))
-    alpha = draw(st.integers(0, max_bits - 3 * beta))
-    k0 = draw(st.integers(0, alpha))
-    k1 = draw(st.integers(0, beta))
-    k2 = draw(st.integers(0, beta - k1))
-    k3 = draw(st.integers(0, beta - k1 - k2))
-    return TypeProfile(alpha, beta, k0, k1, k2, k3), draw(st.integers(0, 2**16))
+def standard_forms(draw, max_bits=12):
+    """(alpha, beta, e, ks, seed): a realizable profile over Z2^alpha x Z_{2^e}^beta
+    with alpha + e * beta <= max_bits."""
+    e = draw(st.sampled_from((2, 3)))
+    beta = draw(st.integers(0, max_bits // e))
+    alpha = draw(st.integers(0, max_bits - e * beta))
+    ks = [draw(st.integers(0, alpha))]
+    for _ in range(e):
+        ks.append(draw(st.integers(0, beta - sum(ks[1:]))))
+    return alpha, beta, e, tuple(ks), draw(st.integers(0, 2**16))
 
 
 @few
-@given(z8_standard_forms())
+@given(standard_forms())
 def test_parity_rows_span_the_dual(case):
-    p, seed = case
-    m = random_standard_form(p, seed)
-    h = span(list(parity_check(m).rows), alpha=p.alpha, beta=p.beta, e=3)
-    assert h == dual_bruteforce(span(assemble(m), alpha=p.alpha, beta=p.beta, e=3))
+    alpha, beta, e, ks, seed = case
+    if e == 3:
+        m = random_standard_form(TypeProfile(alpha, beta, *ks), seed)
+    else:
+        m = random_standard_form_z4(alpha, beta, *ks, seed=seed)
+    h = span(list(parity_check(m).rows), alpha=alpha, beta=beta, e=e)
+    assert h == dual_bruteforce(span(assemble(m), alpha=alpha, beta=beta, e=e))
 
 
 @few
