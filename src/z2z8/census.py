@@ -1,17 +1,17 @@
 """Ground-truth engine: exhaustive subgroup enumeration and type census.
 
 Every subgroup of Z2^alpha x Z_{2^e}^beta (desk scale only) is produced by
-a walk over the coordinates, classified through `codes.classify_type`, and
-tallied into a census that `verify_formula` compares against the counting
-formulas profile by profile.
+a walk over the coordinates and tallied by its torsion signature; each
+distinct signature is then typed once, by the steps of `codes.classify_type`,
+into a census that `verify_formula` compares with the formulas type by type.
 
 The walk adds one coordinate at a time, the column-by-column construction
 behind echelon and Howell forms over Z_{2^e}.  A subgroup M of P x Z_m, P the
 group on the coordinates already added, is fixed by its part K in P, the
 image of its new coordinate and one coset of K in P (see `_extend`), so every
 subgroup is built exactly once, with no seen-set and no scan of the whole
-ambient.  The levels are chained generators: `census` classifies each
-subgroup as it comes and holds none of them.  The walk runs on the packed
+ambient.  The levels are chained generators: `census` reads each subgroup
+as it comes and holds none of them.  The walk runs on the packed
 words of `codes`, and no subgroup is decoded.  The older walk by index-2
 covers stays as the test reference, `_subgroup_sets_by_covers`.
 """
@@ -150,14 +150,14 @@ class TypeCensus:
 def census(alpha: int, beta: int, e: int = 3) -> TypeCensus:
     """Enumerate all subgroups and tally them by classified type.
 
-    The subgroups stream from the walk and are classified as they come, so
-    the census holds none of them.
+    The walk's subgroups are tallied by torsion signature as they come, so
+    the census holds none of them.  Each distinct signature is then typed
+    once; a type fixes its torsion sizes, so no two signatures share one.
     """
     check_ambient_size(alpha, beta, e)
     ambient = codes._Ambient(alpha, beta, e)
-    types = (codes.classify_type(Code._from_packed(ambient, sub))
-             for sub in _subgroup_stream(ambient))
-    tallies = Counter(t.ks if e == 3 else t for t in types)
+    signatures = Counter(codes._torsion_signature(s, ambient) for s in _subgroup_stream(ambient))
+    tallies = {codes._type_from_signature(sig, e): n for sig, n in signatures.items()}
     total = sum(tallies.values())
     return TypeCensus(alpha, beta, e, dict(sorted(tallies.items())), total, "enumeration")
 

@@ -290,6 +290,35 @@ def _log2_exact(n: int, what: str) -> int:
     return b
 
 
+def _torsion_signature(words: Iterable[int], ambient: _Ambient) -> tuple[int, ...]:
+    """The counts of words of order 1, 2, ..., 2^e, then of order <= 2 with zero binary part."""
+    mask, bin_mask = ambient.mask, ambient.bin_mask
+    counts = [0] * (ambient.e + 2)  # counts[j]: words of order exactly 2^j, for j <= e
+    for x in words:
+        j, y = 0, x
+        while y:
+            y, j = (y + y) & mask, j + 1
+        counts[j] += 1
+        if j <= 1 and not x & bin_mask:
+            counts[-1] += 1
+    return tuple(counts)
+
+
+def _type_from_signature(signature: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """The type (k0, k_1, ..., k_e) read off a torsion signature; see `classify_type`."""
+    *of_order, zero_binary = signature
+    _log2_exact(sum(of_order), "code")
+    if not of_order[0]:
+        raise NotASubgroupError("code does not contain the zero word")
+    s = [_log2_exact(n, f"{1 << j}-torsion") for j, n in enumerate(accumulate(of_order))]
+    z = _log2_exact(zero_binary, "zero-binary 2-torsion")
+    tops = [0] + [s[e - i + 1] - s[e - i] for i in range(1, e)] + [z]
+    ks = (s[1] - z, *(b - a for a, b in zip(tops, tops[1:])))
+    if min(ks) < 0:
+        raise NotASubgroupError(f"inconsistent torsion profile (s={s[1:]}, z={z})")
+    return ks
+
+
 def classify_type(code: Code):
     """Recover the type of a subgroup from torsion sizes.
 
@@ -298,29 +327,10 @@ def classify_type(code: Code):
     killed by 2^j and 2^z order <= 2 elements with zero binary part,
     s_j - s_(j-1) counts the cyclic factors of order above 2^(j-1), so
     k_1 + ... + k_i = s_(e-i+1) - s_(e-i) for i < e, k_1 + ... + k_e = z,
-    and k0 = s_1 - z.
+    and k0 = s_1 - z.  `census` tallies these torsion signatures, typing each once.
     """
-    words, mask, e = code._packed, code._ambient.mask, code.e
-    _log2_exact(len(words), "code")
-    if 0 not in words:
-        raise NotASubgroupError("code does not contain the zero word")
-    of_order = [0] * (e + 1)  # of_order[j]: words of order exactly 2^j
-    zero_binary = 0
-    for x in words:
-        j, y = 0, x
-        while y:
-            y = (y + y) & mask
-            j += 1
-        of_order[j] += 1
-        if j <= 1 and not x & code._ambient.bin_mask:
-            zero_binary += 1
-    s = [_log2_exact(n, f"{1 << j}-torsion") for j, n in enumerate(accumulate(of_order))]
-    z = _log2_exact(zero_binary, "zero-binary 2-torsion")
-    tops = [0] + [s[e - i + 1] - s[e - i] for i in range(1, e)] + [z]
-    ks = (s[1] - z, *(b - a for a, b in zip(tops, tops[1:])))
-    if min(ks) < 0:
-        raise NotASubgroupError(f"inconsistent torsion profile (s={s[1:]}, z={z})")
-    return TypeProfile(code.alpha, code.beta, *ks) if e == 3 else ks
+    ks = _type_from_signature(_torsion_signature(code._packed, code._ambient), code.e)
+    return TypeProfile(code.alpha, code.beta, *ks) if code.e == 3 else ks
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,20 @@
 import json
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from z2z8.census import (
     _subgroup_sets_by_covers,
+    _subgroup_stream,
     census,
     census_to_json,
     enumerate_subgroups,
     formula_census,
     verify_formula,
 )
-from z2z8.codes import MixedWord, _Ambient, classify_type, span
+from z2z8.codes import Code, MixedWord, _Ambient, classify_type, span
 from z2z8.errors import AmbientTooLargeError
 
 
@@ -121,6 +123,17 @@ def test_census_streams_the_subgroups():
             tracemalloc.stop()
 
     assert peak(census) < peak(enumerate_subgroups) / 2
+
+
+@pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
+def test_census_matches_per_subgroup_classification(alpha, beta, e):
+    # reference: one Code and one classify_type per subgroup, no signature tally
+    ambient = _Ambient(alpha, beta, e)
+    types = (classify_type(Code._from_packed(ambient, s)) for s in _subgroup_stream(ambient))
+    expected = Counter(t.ks if e == 3 else t for t in types)
+    c = census(alpha, beta, e)
+    assert c.counts == dict(expected)
+    assert c.total_subgroups == sum(expected.values())
 
 
 def test_census_small():

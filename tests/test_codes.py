@@ -5,6 +5,8 @@ import hashlib
 import pytest
 
 from z2z8.codes import (
+    _torsion_signature,
+    _type_from_signature,
     Code,
     MixedWord,
     StandardFormMatrix,
@@ -199,6 +201,27 @@ def test_classify_rejects_non_subgroup():
     c = Code([W([0], [1])], 1, 1, 3)  # missing zero
     with pytest.raises(NotASubgroupError):
         classify_type(c)
+
+
+@pytest.mark.parametrize(
+    "signature,mods,message",
+    [
+        # (words of order 1, 2, 4, 8; zero-binary words of order <= 2) in Z8
+        ((0, 0, 0, 1, 0), [1], "code does not contain the zero word"),
+        ((1, 1, 1, 1, 2), [0, 2, 4, 1], "4-torsion has size 3, not a power of two"),
+        ((1, 0, 1, 2, 1), [0, 1, 2, 3], "inconsistent torsion profile (s=[0, 1, 2], z=0)"),
+    ],
+)
+def test_type_from_signature_rejects_forged_signatures(signature, mods, message):
+    with pytest.raises(NotASubgroupError) as forged:
+        _type_from_signature(signature, 3)
+    assert str(forged.value) == message
+    # the same message classify_type gives for a word set with this signature
+    c = Code([W([], [m]) for m in mods], 0, 1, 3)
+    assert _torsion_signature(c._packed, c._ambient) == signature
+    with pytest.raises(NotASubgroupError) as code:
+        classify_type(c)
+    assert str(code.value) == message
 
 
 def test_classify_round_trip_all_small_profiles():
