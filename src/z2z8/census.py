@@ -1,6 +1,6 @@
 """Ground-truth engine: exhaustive subgroup enumeration and type census.
 
-Every subgroup of Z2^alpha x Z_{2^e}^beta (desk scale only) is produced by
+Every subgroup of Z2^alpha x Z_{2^e}^beta (desk scale only) is reached by
 a walk over the coordinates and tallied by its torsion signature; each
 distinct signature is then typed once, by the steps of `codes.classify_type`,
 into a census that `verify_formula` compares with the formulas type by type.
@@ -8,12 +8,17 @@ into a census that `verify_formula` compares with the formulas type by type.
 The walk adds one coordinate at a time, the column-by-column construction
 behind echelon and Howell forms over Z_{2^e}.  A subgroup M of P x Z_m, P the
 group on the coordinates already added, is fixed by its part K in P, the
-image of its new coordinate and one coset of K in P (see `_extend`), so every
-subgroup is built exactly once, with no seen-set and no scan of the whole
-ambient.  The levels are chained generators: `census` reads each subgroup
-as it comes and holds none of them.  The walk runs on the packed
-words of `codes`, and no subgroup is decoded.  The older walk by index-2
-covers stays as the test reference, `_subgroup_sets_by_covers`.
+image of its new coordinate and one coset of K in P (see `_children`), so
+every subgroup comes exactly once, with no seen-set and no scan of the whole
+ambient.  The walk carries each subgroup's torsion sizes with it: M's follow
+from K's and a few lookups in tables built once per K, so no word of M is
+counted.  `census` builds the subgroups up to the last coordinate only and
+sizes the last coordinate's, nearly all of them, from their parents.  The
+levels are chained generators, so a walk holds one subgroup per coordinate.
+It runs on the packed words of `codes`, and no subgroup is decoded.  The
+older walk by index-2 covers stays as the test reference,
+`_subgroup_sets_by_covers`, and `codes._torsion_signature` stays the
+word-counting reference for the carried sizes.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, islice, product
 from typing import Iterable, Iterator
 
 from . import codes, counting
@@ -54,47 +59,145 @@ def check_ambient_size(alpha: int, beta: int, e: int) -> None:
         )
 
 
-def _extend(ambient: codes._Ambient, i: int, prefix: list[int],
-            subgroups: Iterable[frozenset[int]]) -> Iterator[frozenset[int]]:
-    """The subgroups of P x Z_m, from the subgroups of P.
+def _children(ambient: codes._Ambient, i: int, prefix: list[int], sub: frozenset[int],
+              sizes: tuple[int, ...], grown: dict) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The subgroups of P x Z_m whose part in P is `sub`, other than `sub`
+    itself, as pairs (x, torsion sizes): the subgroup is `sub` + <x>.
 
     P is the group `prefix` on the coordinates below i and Z_m, m = 2^top, is
-    coordinate i.  A subgroup M of P x Z_m is fixed by its part K in P (`sub`
-    below), by its image 2^a Z_m in coordinate i, and by the coset v + K of
-    the lifts of 2^a: the words v of P with x = v + 2^a e_i in M.  Such a v
-    needs 2^(top-a) v in K, that is, the order of v modulo K divides
-    2^(top-a).  Conversely each such triple gives M = K | K + x | K + 2x | ...,
-    so every subgroup is built once.  The moduli never decrease along the
-    coordinates, so the order of a word of P divides m.
+    coordinate i.  A subgroup M of P x Z_m is fixed by its part K in P (`sub`),
+    by its image 2^a Z_m in coordinate i, and by the coset v + K of the lifts
+    of 2^a: the words v of P with x = v + 2^a e_i in M.  Such a v needs
+    2^b v in K, b = top - a, that is, the order 2^c of v modulo K has c <= b.
+    Conversely each such triple gives M = K | K + x | K + 2x | ..., so every
+    subgroup comes once.  The moduli never decrease along the coordinates,
+    so the order of a word of P divides m.
+
+    The sizes are (s_1, ..., s_e, z): M has 2^s_t words killed by 2^t and 2^z
+    words of order <= 2 with zero binary part; K's are `sizes`.  M / K is
+    cyclic of order 2^b, so |M[2^t]| = |K[2^t]| 2^(b-u) for u the least
+    u >= max(b - t, 0) with 2^(t+u) v in 2^t K: s_t gains min(t, b, t + b - j)
+    for j the least j with 2^j v in 2^t K, and s_e gains b, as M[2^e] = M.
+    The words of order <= 2 with zero binary part double iff one of them is
+    2^(top-1) in coordinate i: iff 2^b v = 2h for an h in K with
+    h + 2^(b-1) v equal to a word of K[2] on the binary coordinates.  For
+    b > c, h = 2^(b-1) v is one, so only b = c needs the lookup.  On a binary
+    coordinate every s_t gains one, and z stays 0.
+
+    The sizes of a child depend on its coset only through c, the j for each
+    t < e, and the lookup at b = c; `grown` keeps them by K's sizes and these,
+    for the walk of one coordinate.
     """
-    mask, unit = ambient.mask, 1 << (4 * i)
+    mask, e = ambient.mask, ambient.e
+    unit = 1 << (4 * i)
     top = ambient.moduli[i].bit_length() - 1
-    for sub in subgroups:
-        yield sub
-        # lifts[b]: one word of each coset of `sub` in P of order 2^b modulo `sub`
-        lifts: list[list[int]] = [[0]] + [[] for _ in range(top)]
-        covered = set(sub)
-        for v in prefix:
-            if v not in covered:
-                covered.update([(w + v) & mask for w in sub])
-                b, y = 1, (v + v) & mask
-                while y not in sub:
-                    b, y = b + 1, (y + y) & mask
-                lifts[b].append(v)
-        for b in range(1, top + 1):
-            image = unit << (top - b)  # 2^a e_i with a = top - b
-            for v in chain.from_iterable(lifts[: b + 1]):
-                yield ambient.adjoin(sub, v | image)
+    # lifts[c]: one word of each coset of `sub` in P of order 2^c modulo `sub`
+    lifts: list[list[int]] = [[0]] + [[] for _ in range(top)]
+    covered = set(sub)
+    for v in prefix:
+        if v not in covered:
+            covered.update([(w + v) & mask for w in sub])
+            c, y = 1, (v + v) & mask
+            while y not in sub:
+                c, y = c + 1, (y + y) & mask
+            lifts[c].append(v)
+    if i < ambient.alpha:
+        doubled = (*(s + 1 for s in sizes[:-1]), sizes[-1])
+        for v in chain.from_iterable(lifts):
+            yield v | unit, doubled
+        return
+    # built once per K: 2^t K for t < e, a half in K of each word of 2K, and
+    # the binary parts of K[2]
+    multiples = [sub]
+    for _ in range(1, e):
+        multiples.append({(w + w) & mask for w in multiples[-1]})
+    halves = {(w + w) & mask: w for w in sub}
+    bin_mask = ambient.bin_mask
+    binary_2 = {w & bin_mask for w in sub if not (w + w) & mask}
+    *s, z = sizes
+    shapes = grown.setdefault(sizes, {})
+    cosets: list[list[tuple[int, list]]] = []  # (v, its children's sizes by b), by c
+    for c, vs in enumerate(lifts):
+        cosets.append([])
+        for v in vs:
+            powers = [v]  # powers[j] = 2^j v, and 2^e v = 0 lies in every 2^t K
+            for _ in range(e):
+                powers.append((powers[-1] + powers[-1]) & mask)
+            least = []
+            for t in range(1, e):
+                j = c  # 2^t K lies in K, so j >= c
+                while powers[j] not in multiples[t]:
+                    j += 1
+                least.append(j)
+            h = halves.get(powers[c])
+            doubles = c > 0 and h is not None and (h + powers[c - 1]) & bin_mask in binary_2
+            key = (c, *least, doubles)
+            by_b = shapes.get(key)
+            if by_b is None:
+                by_b = shapes[key] = [None] * max(c, 1) + [
+                    (*(x + min(t, b, t + b - j) for t, x, j in zip(range(1, e), s, least)),
+                     s[-1] + b, z + (b > c or doubles))
+                    for b in range(max(c, 1), top + 1)
+                ]
+            cosets[-1].append((v, by_b))
+    for b in range(1, top + 1):
+        image = unit << (top - b)
+        for v, by_b in chain.from_iterable(cosets[: b + 1]):
+            yield v | image, by_b[b]
+
+
+def _extend(ambient: codes._Ambient, i: int, prefix: list[int],
+            level: Iterable[tuple[frozenset[int], tuple[int, ...]]]
+            ) -> Iterator[tuple[frozenset[int], tuple[int, ...]]]:
+    """The subgroups of P x Z_m with their torsion sizes, from those of P:
+    each subgroup of P, then its children (see `_children`)."""
+    grown: dict = {}
+    for sub, sizes in level:
+        yield sub, sizes
+        for x, child in _children(ambient, i, prefix, sub, sizes, grown):
+            yield ambient.adjoin(sub, x), child
+
+
+def _walk(ambient: codes._Ambient, prefixes: Iterable[list[int]]
+          ) -> Iterator[tuple[frozenset[int], tuple[int, ...]]]:
+    """Every subgroup of the group on the first len(prefixes) coordinates,
+    with its torsion sizes.  The levels are chained generators, so a walk
+    holds one subgroup per coordinate and no list of them."""
+    level: Iterable[tuple[frozenset[int], tuple[int, ...]]] = [
+        (frozenset([0]), (0,) * (ambient.e + 1))
+    ]
+    for i, prefix in enumerate(prefixes):
+        level = _extend(ambient, i, prefix, level)
+    return iter(level)
 
 
 def _subgroup_stream(ambient: codes._Ambient) -> Iterator[frozenset[int]]:
     """Every subgroup of the ambient group, once each, adding one coordinate
-    at a time.  The levels are chained generators, so a walk holds one
-    subgroup per coordinate and no list of them."""
-    level: Iterable[frozenset[int]] = [frozenset([0])]
-    for i, prefix in zip(range(len(ambient.moduli)), ambient.prefixes()):
-        level = _extend(ambient, i, prefix, level)
-    return iter(level)
+    at a time."""
+    prefixes = islice(ambient.prefixes(), len(ambient.moduli))
+    return (sub for sub, _ in _walk(ambient, prefixes))
+
+
+def _sized_stream(ambient: codes._Ambient) -> Iterator[tuple[int, ...]]:
+    """The torsion sizes of every subgroup, in the order of `_subgroup_stream`.
+
+    The subgroups of the last coordinate, nearly all of them, are sized from
+    their part on the coordinates before it and never built."""
+    n = len(ambient.moduli)
+    prefixes = list(islice(ambient.prefixes(), n))
+    grown: dict = {}
+    for sub, sizes in _walk(ambient, prefixes[:-1]):
+        yield sizes
+        if prefixes:
+            for _, child in _children(ambient, n - 1, prefixes[-1], sub, sizes, grown):
+                yield child
+
+
+def _signature(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """Torsion sizes as the signature `codes._torsion_signature` counts."""
+    *s, z = sizes
+    killed = [1] + [1 << t for t in s]
+    return (1, *(b - a for a, b in zip(killed, killed[1:])), 1 << z)
 
 
 def _subgroup_sets_by_covers(ambient: codes._Ambient) -> list[frozenset[int]]:
@@ -150,14 +253,17 @@ class TypeCensus:
 def census(alpha: int, beta: int, e: int = 3) -> TypeCensus:
     """Enumerate all subgroups and tally them by classified type.
 
-    The walk's subgroups are tallied by torsion signature as they come, so
-    the census holds none of them.  Each distinct signature is then typed
-    once; a type fixes its torsion sizes, so no two signatures share one.
+    The walk's torsion sizes are tallied as they come, so the census holds
+    no subgroup, and builds none of the last coordinate's.  Each distinct
+    signature is then typed once; a type fixes its torsion sizes, so no two
+    signatures share one.
     """
     check_ambient_size(alpha, beta, e)
     ambient = codes._Ambient(alpha, beta, e)
-    signatures = Counter(codes._torsion_signature(s, ambient) for s in _subgroup_stream(ambient))
-    tallies = {codes._type_from_signature(sig, e): n for sig, n in signatures.items()}
+    tallies = {
+        codes._type_from_signature(_signature(sizes), e): n
+        for sizes, n in Counter(_sized_stream(ambient)).items()
+    }
     total = sum(tallies.values())
     return TypeCensus(alpha, beta, e, dict(sorted(tallies.items())), total, "enumeration")
 

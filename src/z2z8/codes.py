@@ -327,7 +327,8 @@ def classify_type(code: Code):
     killed by 2^j and 2^z order <= 2 elements with zero binary part,
     s_j - s_(j-1) counts the cyclic factors of order above 2^(j-1), so
     k_1 + ... + k_i = s_(e-i+1) - s_(e-i) for i < e, k_1 + ... + k_e = z,
-    and k0 = s_1 - z.  `census` tallies these torsion signatures, typing each once.
+    and k0 = s_1 - z.  `census` carries these torsion sizes down its coordinate
+    walk instead of counting words, and types each distinct signature once.
     """
     ks = _type_from_signature(_torsion_signature(code._packed, code._ambient), code.e)
     return TypeProfile(code.alpha, code.beta, *ks) if code.e == 3 else ks

@@ -8,6 +8,8 @@ from collections import Counter
 import pytest
 
 from z2z8.census import (
+    _signature,
+    _sized_stream,
     _subgroup_sets_by_covers,
     _subgroup_stream,
     census,
@@ -16,7 +18,7 @@ from z2z8.census import (
     formula_census,
     verify_formula,
 )
-from z2z8.codes import Code, MixedWord, _Ambient, classify_type, span
+from z2z8.codes import Code, MixedWord, _Ambient, _torsion_signature, classify_type, span
 from z2z8.errors import AmbientTooLargeError
 
 
@@ -136,6 +138,34 @@ def test_census_matches_per_subgroup_classification(alpha, beta, e):
     assert c.total_subgroups == sum(expected.values())
 
 
+@pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
+def test_carried_sizes_match_counted_signatures(alpha, beta, e):
+    # subgroup by subgroup, in walk order: the sizes the walk carries against
+    # the words of the subgroup counted by the reference
+    ambient = _Ambient(alpha, beta, e)
+    carried = [_signature(sizes) for sizes in _sized_stream(ambient)]
+    counted = [_torsion_signature(sub, ambient) for sub in _subgroup_stream(ambient)]
+    assert carried == counted
+
+
+def test_census_builds_no_subgroup_of_the_last_coordinate(monkeypatch):
+    # only the subgroups of (3,1,3), the last coordinate's parents, are built;
+    # adjoin once per subgroup of (3,2,3) would be 4,161 calls
+    prefixes = [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1)]
+    bound = sum(census(alpha, beta, 3).total_subgroups for alpha, beta in prefixes)
+    calls = 0
+    adjoin = _Ambient.adjoin
+
+    def counted(self, group, g):
+        nonlocal calls
+        calls += 1
+        return adjoin(self, group, g)
+
+    monkeypatch.setattr(_Ambient, "adjoin", counted)
+    assert census(3, 2, 3).total_subgroups == 4162
+    assert 0 < calls < bound
+
+
 def test_census_small():
     c = census(1, 1, 3)
     assert c.counts[(1, 0, 0, 0)] == 2  # spans of (1|0) and (1|4)
@@ -176,7 +206,7 @@ def test_verify_formula_matches(alpha, beta, e):
 
 @pytest.mark.parametrize(
     "alpha,beta,e,total",
-    [(3, 2, 3, 4162), (1, 3, 3, 4229), (3, 3, 2, 33858), (0, 4, 3, 43339)],
+    [(3, 2, 3, 4162), (1, 3, 3, 4229), (3, 3, 2, 33858), (0, 4, 3, 43339), (5, 2, 2, 129858)],
 )
 def test_verify_formula_at_oracle_reach(alpha, beta, e, total):
     # the largest ambients the suite walks, 2^9 to 2^12 words
