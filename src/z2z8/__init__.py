@@ -6,6 +6,9 @@ together with the Z8, Z2Z4 and binary specializations, and validates the
 formulas against an exhaustive subgroup-enumeration oracle at desk scale.
 """
 
+import importlib.util
+import sys
+
 from .counting import (
     CountBreakdown,
     DeltaExponents,
@@ -24,23 +27,49 @@ from .counting import (
     lemma_swap_k_l,
     self_dual_count_condition,
 )
-from .census import TypeCensus, census, enumerate_subgroups, formula_census, verify_formula
-from .codes import (
-    Code,
-    MixedWord,
-    ParityCheckMatrix,
-    StandardFormMatrix,
-    assemble,
-    classify_type,
-    dual_bruteforce,
-    inner_product,
-    parity_check,
-    phi_reduce,
-    random_standard_form,
-    span,
-)
 from .errors import AmbientTooLargeError, NotASubgroupError, SelfCheckError
 from .qnum import q_binomial, q_factorial, q_integer, q_multinomial
+
+
+def _lazy(name: str):
+    """Put submodule `name` in sys.modules with its body not yet run.
+
+    The body runs on the first attribute read.  Registering the module up
+    front also keeps the import system from binding it onto the package, so
+    `z2z8.census` stays the function when `z2z8.census` the module loads.
+    """
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# count, sequence and check-identities need neither of these
+codes = _lazy("codes")
+_census = _lazy("census")
+
+# re-exported name -> the lazy module that defines it
+_LAZY_NAMES = {
+    **dict.fromkeys(["TypeCensus", "census", "enumerate_subgroups", "formula_census",
+                     "verify_formula"], _census),
+    **dict.fromkeys(["Code", "MixedWord", "ParityCheckMatrix", "StandardFormMatrix",
+                     "assemble", "classify_type", "dual_bruteforce", "inner_product",
+                     "parity_check", "phi_reduce", "random_standard_form", "span"], codes),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY_NAMES})
+
 
 __version__ = "0.1.0"
 

@@ -59,19 +59,39 @@ def check_ambient_size(alpha: int, beta: int, e: int) -> None:
         )
 
 
+def _lifts(ambient: codes._Ambient, i: int, prefix: list[int], sub: frozenset[int]
+           ) -> list[list[int]]:
+    """The coset scan: one word v of each coset of `sub` in P, by order:
+    entry c holds the cosets of order 2^c modulo `sub`, for c = 0..top.
+
+    P is the group `prefix` on the coordinates below i and Z_m, m = 2^top, is
+    coordinate i.  The moduli never decrease along the coordinates, so the
+    order of a word of P divides m.
+    """
+    mask = ambient.mask
+    lifts: list[list[int]] = [[0]] + [[] for _ in range(ambient.moduli[i].bit_length() - 1)]
+    covered = set(sub)
+    for v in prefix:
+        if v not in covered:
+            covered.update([(w + v) & mask for w in sub])
+            c, y = 1, (v + v) & mask
+            while y not in sub:
+                c, y = c + 1, (y + y) & mask
+            lifts[c].append(v)
+    return lifts
+
+
 def _children(ambient: codes._Ambient, i: int, prefix: list[int], sub: frozenset[int],
               sizes: tuple[int, ...], grown: dict) -> Iterator[tuple[int, tuple[int, ...]]]:
     """The subgroups of P x Z_m whose part in P is `sub`, other than `sub`
     itself, as pairs (x, torsion sizes): the subgroup is `sub` + <x>.
 
-    P is the group `prefix` on the coordinates below i and Z_m, m = 2^top, is
-    coordinate i.  A subgroup M of P x Z_m is fixed by its part K in P (`sub`),
-    by its image 2^a Z_m in coordinate i, and by the coset v + K of the lifts
-    of 2^a: the words v of P with x = v + 2^a e_i in M.  Such a v needs
-    2^b v in K, b = top - a, that is, the order 2^c of v modulo K has c <= b.
-    Conversely each such triple gives M = K | K + x | K + 2x | ..., so every
-    subgroup comes once.  The moduli never decrease along the coordinates,
-    so the order of a word of P divides m.
+    P and m are as in `_lifts`.  A subgroup M of P x Z_m is fixed by its part
+    K in P (`sub`), by its image 2^a Z_m in coordinate i, and by the coset
+    v + K of the lifts of 2^a: the words v of P with x = v + 2^a e_i in M.
+    Such a v needs 2^b v in K, b = top - a, that is, the order 2^c of v
+    modulo K has c <= b.  Conversely each such triple gives
+    M = K | K + x | K + 2x | ..., so every subgroup comes once.
 
     The sizes are (s_1, ..., s_e, z): M has 2^s_t words killed by 2^t and 2^z
     words of order <= 2 with zero binary part; K's are `sizes`.  M / K is
@@ -88,24 +108,14 @@ def _children(ambient: codes._Ambient, i: int, prefix: list[int], sub: frozenset
     t < e, and the lookup at b = c; `grown` keeps them by K's sizes and these,
     for the walk of one coordinate.
     """
-    mask, e = ambient.mask, ambient.e
-    unit = 1 << (4 * i)
-    top = ambient.moduli[i].bit_length() - 1
-    # lifts[c]: one word of each coset of `sub` in P of order 2^c modulo `sub`
-    lifts: list[list[int]] = [[0]] + [[] for _ in range(top)]
-    covered = set(sub)
-    for v in prefix:
-        if v not in covered:
-            covered.update([(w + v) & mask for w in sub])
-            c, y = 1, (v + v) & mask
-            while y not in sub:
-                c, y = c + 1, (y + y) & mask
-            lifts[c].append(v)
+    lifts = _lifts(ambient, i, prefix, sub)
     if i < ambient.alpha:
         doubled = (*(s + 1 for s in sizes[:-1]), sizes[-1])
+        unit = 1 << (4 * i)
         for v in chain.from_iterable(lifts):
             yield v | unit, doubled
         return
+    mask, e, top = ambient.mask, ambient.e, len(lifts) - 1
     # built once per K: 2^t K for t < e, a half in K of each word of 2K, and
     # the binary parts of K[2]
     multiples = [sub]
@@ -141,14 +151,14 @@ def _children(ambient: codes._Ambient, i: int, prefix: list[int], sub: frozenset
                 ]
             cosets[-1].append((v, by_b))
     for b in range(1, top + 1):
-        image = unit << (top - b)
+        image = 1 << (4 * i + top - b)
         for v, by_b in chain.from_iterable(cosets[: b + 1]):
             yield v | image, by_b[b]
 
 
-def _extend(ambient: codes._Ambient, i: int, prefix: list[int],
-            level: Iterable[tuple[frozenset[int], tuple[int, ...]]]
-            ) -> Iterator[tuple[frozenset[int], tuple[int, ...]]]:
+def _extend_sized(ambient: codes._Ambient, i: int, prefix: list[int],
+                  level: Iterable[tuple[frozenset[int], tuple[int, ...]]]
+                  ) -> Iterator[tuple[frozenset[int], tuple[int, ...]]]:
     """The subgroups of P x Z_m with their torsion sizes, from those of P:
     each subgroup of P, then its children (see `_children`)."""
     grown: dict = {}
@@ -158,16 +168,28 @@ def _extend(ambient: codes._Ambient, i: int, prefix: list[int],
             yield ambient.adjoin(sub, x), child
 
 
-def _walk(ambient: codes._Ambient, prefixes: Iterable[list[int]]
-          ) -> Iterator[tuple[frozenset[int], tuple[int, ...]]]:
+def _extend(ambient: codes._Ambient, i: int, prefix: list[int],
+            level: Iterable[frozenset[int]]) -> Iterator[frozenset[int]]:
+    """`_extend_sized` without the sizes: the children come straight from
+    the coset scan, in the same order."""
+    for sub in level:
+        yield sub
+        lifts = _lifts(ambient, i, prefix, sub)
+        top = len(lifts) - 1
+        for b in range(1, top + 1):
+            image = 1 << (4 * i + top - b)
+            for v in chain.from_iterable(lifts[: b + 1]):
+                yield ambient.adjoin(sub, v | image)
+
+
+def _walk(ambient: codes._Ambient, prefixes: Iterable[list[int]], extend, root) -> Iterator:
     """Every subgroup of the group on the first len(prefixes) coordinates,
-    with its torsion sizes.  The levels are chained generators, so a walk
-    holds one subgroup per coordinate and no list of them."""
-    level: Iterable[tuple[frozenset[int], tuple[int, ...]]] = [
-        (frozenset([0]), (0,) * (ambient.e + 1))
-    ]
+    grown from `root`, the zero subgroup, by `extend` one coordinate at a
+    time.  The levels are chained generators, so a walk holds one subgroup
+    per coordinate and no list of them."""
+    level: Iterable = [root]
     for i, prefix in enumerate(prefixes):
-        level = _extend(ambient, i, prefix, level)
+        level = extend(ambient, i, prefix, level)
     return iter(level)
 
 
@@ -175,7 +197,7 @@ def _subgroup_stream(ambient: codes._Ambient) -> Iterator[frozenset[int]]:
     """Every subgroup of the ambient group, once each, adding one coordinate
     at a time."""
     prefixes = islice(ambient.prefixes(), len(ambient.moduli))
-    return (sub for sub, _ in _walk(ambient, prefixes))
+    return _walk(ambient, prefixes, _extend, frozenset([0]))
 
 
 def _sized_stream(ambient: codes._Ambient) -> Iterator[tuple[int, ...]]:
@@ -186,7 +208,8 @@ def _sized_stream(ambient: codes._Ambient) -> Iterator[tuple[int, ...]]:
     n = len(ambient.moduli)
     prefixes = list(islice(ambient.prefixes(), n))
     grown: dict = {}
-    for sub, sizes in _walk(ambient, prefixes[:-1]):
+    root = (frozenset([0]), (0,) * (ambient.e + 1))
+    for sub, sizes in _walk(ambient, prefixes[:-1], _extend_sized, root):
         yield sizes
         if prefixes:
             for _, child in _children(ambient, n - 1, prefixes[-1], sub, sizes, grown):

@@ -14,9 +14,12 @@ import sys
 from typing import Sequence
 
 from . import codes, counting
-from .census import census, census_to_json, check_ambient_size, verify_formula
 from .counting import TypeProfile
 from .errors import AmbientTooLargeError, SelfCheckError
+
+# the census module, registered by the package and loaded on first use:
+# `from .census import ...` would load it for every subcommand
+_census = sys.modules[__package__ + ".census"]
 
 __all__ = ["main", "entry", "FAMILIES"]
 
@@ -206,7 +209,7 @@ def cmd_sequence(args) -> tuple[int, str]:
 
 
 def cmd_verify(args) -> tuple[int, str]:
-    report = verify_formula(args.alpha, args.beta, args.e)
+    report = _census.verify_formula(args.alpha, args.beta, args.e)
     if args.format == "json":
         doc = {
             "alpha": report.alpha, "beta": report.beta, "e": report.e,
@@ -286,7 +289,7 @@ def cmd_matrix(args) -> tuple[int, str]:
     if args.parity:
         sections.append(("parity-check", list(codes.parity_check(m).rows)))
     if args.span:
-        check_ambient_size(args.alpha, args.beta, args.e)
+        _census.check_ambient_size(args.alpha, args.beta, args.e)
         code = codes.span(rows, alpha=args.alpha, beta=args.beta, e=args.e)
         sections.append((f"codewords ({len(code)})", list(code)))
 
@@ -309,8 +312,8 @@ def cmd_matrix(args) -> tuple[int, str]:
 
 
 def cmd_census_export(args) -> tuple[int, str]:
-    c = census(args.alpha, args.beta, args.e)
-    return 0, census_to_json(c)
+    c = _census.census(args.alpha, args.beta, args.e)
+    return 0, _census.census_to_json(c)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

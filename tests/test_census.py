@@ -4,14 +4,17 @@ import json
 import time
 import tracemalloc
 from collections import Counter
+from itertools import islice
 
 import pytest
 
 from z2z8.census import (
+    _extend_sized,
     _signature,
     _sized_stream,
     _subgroup_sets_by_covers,
     _subgroup_stream,
+    _walk,
     census,
     census_to_json,
     enumerate_subgroups,
@@ -77,6 +80,16 @@ def test_coordinate_walk_matches_cover_walk(alpha, beta, e):
     # the same packed subgroups, in the same order, as the lattice walk by covers
     subs = enumerate_subgroups(alpha, beta, e)
     assert [c._packed for c in subs] == _subgroup_sets_by_covers(_Ambient(alpha, beta, e))
+
+
+@pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
+def test_walk_without_sizes_builds_the_sized_walks_subgroups(alpha, beta, e):
+    # the bare walk adjoins the coset scan's lifts directly: the same
+    # subgroups, in the same order, as the walk that carries sizes
+    ambient = _Ambient(alpha, beta, e)
+    prefixes = islice(ambient.prefixes(), len(ambient.moduli))
+    sized = _walk(ambient, prefixes, _extend_sized, (frozenset([0]), (0,) * (e + 1)))
+    assert list(_subgroup_stream(ambient)) == [sub for sub, _ in sized]
 
 
 def test_guard_rejects_large_ambient():

@@ -399,3 +399,19 @@ def test_module_invocation_round_trip():
     )
     assert proc.returncode == 0
     assert proc.stdout == "36\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--alpha", "1", "--beta", "1", "--format", "json"],
+    ["matrix", "--alpha", "2", "--beta", "3", "--k0", "1", "--k1", "1", "--k2", "1",
+     "--e", "2", "--parity", "--span"],
+    ["matrix", "--alpha", "1", "--beta", "2", "--k0", "1", "--k1", "1", "--k2", "1", "--parity"],
+    ["census-export", "--alpha", "1", "--beta", "1", "--e", "2"],
+], ids=["verify-json", "matrix-e2-parity-span", "matrix-e3-parity", "census-export"])
+def test_module_invocation_matches_in_process(capsys, argv):
+    # a fresh interpreter loads codes and census on first use; this process
+    # has imported them already
+    proc = subprocess.run([sys.executable, "-m", "z2z8", *argv], capture_output=True, text=True)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
