@@ -23,11 +23,9 @@ word-counting reference for the carried sizes.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, islice, product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import codes, counting
 from .codes import Code
@@ -261,8 +259,7 @@ def enumerate_subgroups(alpha: int, beta: int, e: int = 3) -> list[Code]:
     return [Code._from_packed(ambient, sub) for sub in subgroups]
 
 
-@dataclass(frozen=True)
-class TypeCensus:
+class TypeCensus(NamedTuple):
     """Exact per-type subgroup counts for one ambient group."""
 
     alpha: int
@@ -307,8 +304,7 @@ def formula_census(alpha: int, beta: int, e: int = 3) -> TypeCensus:
     return TypeCensus(alpha, beta, e, dict(sorted(counts.items())), total, "formula")
 
 
-@dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(NamedTuple):
     profile: tuple[int, ...]
     enumerated: int
     formula: int
@@ -318,8 +314,7 @@ class VerifyRow:
         return self.enumerated == self.formula
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     alpha: int
     beta: int
     e: int
@@ -345,6 +340,8 @@ def verify_formula(alpha: int, beta: int, e: int = 3) -> VerifyReport:
 
 def census_to_json(c: TypeCensus) -> str:
     """JSON with counts as decimal strings, stable profile order."""
+    import json  # loaded on first use, as verify and census need no JSON
+
     doc = {
         "alpha": c.alpha,
         "beta": c.beta,

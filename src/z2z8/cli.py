@@ -8,7 +8,6 @@ strings everywhere, JSON included, so no output ever truncates.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from typing import Sequence
@@ -72,6 +71,13 @@ def _nonneg(text: str) -> int:
     if v < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {v}")
     return v
+
+
+def _json(doc, indent: int | None = 2) -> str:
+    """`doc` as JSON text and a newline; json loads only for --format json."""
+    import json
+
+    return json.dumps(doc, indent=indent) + "\n"
 
 
 def _profile_str(ks: Sequence[int], alpha: int, beta: int) -> str:
@@ -168,7 +174,7 @@ def cmd_count(args) -> tuple[int, str]:
                 doc["breakdown"]["delta"] = delta
         if dual is not None:
             doc["dual"] = {"profile": [dual.alpha, dual.beta, *dual.ks], "count": str(dual_count)}
-        return 0, json.dumps(doc, indent=2) + "\n"
+        return 0, _json(doc)
 
     lines = [str(value)]
     if factors is not None:
@@ -202,7 +208,7 @@ def cmd_sequence(args) -> tuple[int, str]:
 
     terms = [(r, family_term(exprs, r)) for r in range(start, end + 1)]
     if args.format == "json":
-        return 0, json.dumps([str(v) for _, v in terms]) + "\n"
+        return 0, _json([str(v) for _, v in terms], indent=None)
     if args.format == "bfile":
         return 0, "".join(f"{r} {v}\n" for r, v in terms)
     return 0, "".join(f"{v}\n" for _, v in terms)
@@ -226,7 +232,7 @@ def cmd_verify(args) -> tuple[int, str]:
                 for r in report.rows
             ],
         }
-        return (0 if report.all_match else 1), json.dumps(doc, indent=2) + "\n"
+        return (0 if report.all_match else 1), _json(doc)
     lines = []
     for r in report.rows:
         tag = "ok" if r.match else "MISMATCH"
@@ -261,7 +267,7 @@ def cmd_check_identities(args) -> tuple[int, str]:
                 for e in report.entries
             ],
         }
-        return (0 if report.success else 1), json.dumps(doc, indent=2) + "\n"
+        return (0 if report.success else 1), _json(doc)
     lines = []
     for e in report.entries:
         if e.passed:
@@ -302,7 +308,7 @@ def cmd_matrix(args) -> tuple[int, str]:
         for name, words in sections:
             key = {"generator": "rows", "parity-check": "parity"}.get(name, "codewords")
             doc[key] = [[list(w.bin), list(w.mod)] for w in words]
-        return 0, json.dumps(doc, indent=2) + "\n"
+        return 0, _json(doc)
 
     chunks = []
     for name, words in sections:

@@ -16,11 +16,10 @@ ambient group exhaustively.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .counting import TypeProfile
 from .errors import AmbientTooLargeError, NotASubgroupError
@@ -50,22 +49,49 @@ __all__ = [
 AMBIENT_GUARD_BITS = 24  # dual_bruteforce refuses ambients above 2^24 words
 
 
-@dataclass(frozen=True)
 class MixedWord:
-    """One element of Z2^alpha x Z_{2^e}^beta."""
+    """One element of Z2^alpha x Z_{2^e}^beta; immutable.
 
+    Not a tuple, unlike the module's other value types: `3 * w` is a scalar
+    multiple and a word has no length.
+    """
+
+    __slots__ = ("bin", "mod", "e")
     bin: tuple[int, ...]
     mod: tuple[int, ...]
-    e: int = 3
+    e: int
 
-    def __post_init__(self) -> None:
-        if self.e not in (2, 3):
-            raise ValueError(f"ring exponent must be 2 or 3, got {self.e}")
-        m = 1 << self.e
-        if any(x not in (0, 1) for x in self.bin):
-            raise ValueError(f"binary entries must be 0/1, got {self.bin}")
-        if any(not 0 <= x < m for x in self.mod):
-            raise ValueError(f"modular entries must lie in [0,{m}), got {self.mod}")
+    def __init__(self, bin: tuple[int, ...], mod: tuple[int, ...], e: int = 3) -> None:
+        if e not in (2, 3):
+            raise ValueError(f"ring exponent must be 2 or 3, got {e}")
+        m = 1 << e
+        if any(x not in (0, 1) for x in bin):
+            raise ValueError(f"binary entries must be 0/1, got {bin}")
+        if any(not 0 <= x < m for x in mod):
+            raise ValueError(f"modular entries must lie in [0,{m}), got {mod}")
+        object.__setattr__(self, "bin", bin)
+        object.__setattr__(self, "mod", mod)
+        object.__setattr__(self, "e", e)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return MixedWord, (self.bin, self.mod, self.e)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.bin, self.mod, self.e) == (other.bin, other.mod, other.e)
+
+    def __hash__(self) -> int:
+        return hash((self.bin, self.mod, self.e))
+
+    def __repr__(self) -> str:
+        return f"MixedWord(bin={self.bin!r}, mod={self.mod!r}, e={self.e!r})"
 
     @property
     def alpha(self) -> int:
@@ -369,8 +395,15 @@ def _validate_ks(alpha: int, beta: int, ks: tuple[int, ...], e: int) -> None:
         raise ValueError(f"profile ({alpha},{beta};{','.join(map(str, ks))}) is not realizable")
 
 
-@dataclass(frozen=True)
-class StandardFormMatrix:
+class _StandardFormFields(NamedTuple):
+    alpha: int
+    beta: int
+    e: int
+    ks: tuple[int, ...]
+    blocks: Mapping[str, tuple[tuple[int, ...], ...]]
+
+
+class StandardFormMatrix(_StandardFormFields):
     """Block generator matrix in standard form, stored by its free blocks.
 
     Blocks hold the unscaled entries, read-only and with tuple rows, and `ks`
@@ -378,28 +411,29 @@ class StandardFormMatrix:
     per-stripe identity scaling (1, 1, 2, 4 down the stripes for e = 3).
     """
 
-    alpha: int
-    beta: int
-    e: int
-    ks: tuple[int, ...]
-    blocks: Mapping[str, tuple[tuple[int, ...], ...]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        blocks = {name: tuple(map(tuple, blk)) for name, blk in self.blocks.items()}
-        object.__setattr__(self, "blocks", MappingProxyType(blocks))
-        object.__setattr__(self, "ks", tuple(self.ks))
-        _validate_ks(self.alpha, self.beta, self.ks, self.e)
-        shapes = _block_shapes(self.alpha, self.beta, self.ks, self.e)
-        if set(self.blocks) != set(shapes):
-            raise ValueError(f"expected blocks {sorted(shapes)}, got {sorted(self.blocks)}")
+    def __new__(cls, alpha: int, beta: int, e: int, ks: Sequence[int],
+                blocks: Mapping[str, Sequence[Sequence[int]]]) -> StandardFormMatrix:
+        blocks = MappingProxyType({name: tuple(map(tuple, blk)) for name, blk in blocks.items()})
+        ks = tuple(ks)
+        _validate_ks(alpha, beta, ks, e)
+        shapes = _block_shapes(alpha, beta, ks, e)
+        if set(blocks) != set(shapes):
+            raise ValueError(f"expected blocks {sorted(shapes)}, got {sorted(blocks)}")
         for name, (rows, cols, modulus) in shapes.items():
-            blk = self.blocks[name]
+            blk = blocks[name]
             if len(blk) != rows or any(len(r) != cols for r in blk):
                 raise ValueError(f"block {name} must be {rows}x{cols}")
             if any(not 0 <= x < modulus for row in blk for x in row):
                 raise ValueError(f"block {name} entries must lie in [0,{modulus})")
+        return super().__new__(cls, alpha, beta, e, ks, blocks)
 
-    def __hash__(self) -> int:
+    @classmethod
+    def _make(cls, iterable) -> StandardFormMatrix:  # so that _replace validates too
+        return cls(*iterable)
+
+    def __hash__(self) -> int:  # the mapping of blocks is unhashable
         return hash((self.alpha, self.beta, self.e, self.ks, tuple(sorted(self.blocks.items()))))
 
     @property
@@ -473,8 +507,7 @@ def random_standard_form_z4(alpha: int, beta: int, k0: int, k1: int, k2: int,
 # duality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParityCheckMatrix:
+class ParityCheckMatrix(NamedTuple):
     """Generator rows for the dual code, in block row stripes
     (alpha-k0, beta-l, k_e, ..., k_2) with l = k_1 + ... + k_e."""
 

@@ -20,9 +20,8 @@ relating a type to the type of its dual code.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import SelfCheckError
 from .qnum import q_binomial
@@ -49,15 +48,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class TypeProfile:
-    """Type (alpha, beta; k0, k1, k2, k3) of an additive code in Z2^a x Z8^b.
+# The value types are NamedTuples, not dataclasses: `dataclasses` imports
+# `inspect`, which would load on every run of the command line.  A type that
+# validates its fields does so in `__new__` on a subclass of its fields.
 
-    k0 counts order-2 generators seen through the binary coordinates; k1, k2,
-    k3 count order-8, order-4 and order-2 generators through the Z8
-    coordinates.
-    """
-
+class _TypeProfileFields(NamedTuple):
     alpha: int
     beta: int
     k0: int
@@ -65,11 +60,27 @@ class TypeProfile:
     k2: int
     k3: int
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "k0", "k1", "k2", "k3"):
-            v = getattr(self, name)
+
+class TypeProfile(_TypeProfileFields):
+    """Type (alpha, beta; k0, k1, k2, k3) of an additive code in Z2^a x Z8^b.
+
+    k0 counts order-2 generators seen through the binary coordinates; k1, k2,
+    k3 count order-8, order-4 and order-2 generators through the Z8
+    coordinates.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: int, beta: int, k0: int, k1: int, k2: int, k3: int) -> TypeProfile:
+        self = super().__new__(cls, alpha, beta, k0, k1, k2, k3)
+        for name, v in zip(cls._fields, self):
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> TypeProfile:  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def l(self) -> int:
@@ -88,8 +99,7 @@ class TypeProfile:
         return f"({self.alpha},{self.beta};{self.k0},{self.k1},{self.k2},{self.k3})"
 
 
-@dataclass(frozen=True)
-class CountBreakdown:
+class CountBreakdown(NamedTuple):
     """The eight factors of the product formula and their exact quotient."""
 
     n1: int
@@ -111,8 +121,7 @@ class CountBreakdown:
         return self.d1 * self.d2 * self.d3 * self.d4
 
 
-@dataclass(frozen=True)
-class DeltaExponents:
+class DeltaExponents(NamedTuple):
     """Powers of two in the closed form (delta) and its dual (delta_bar)."""
 
     delta: int
@@ -171,7 +180,7 @@ def delta_exponents(profile: TypeProfile) -> DeltaExponents:
 
 def _deltas(profile: TypeProfile) -> tuple[int, int]:
     """(delta, delta_bar), without the validity check."""
-    a, b, k0, k1, k2, k3 = profile.alpha, profile.beta, profile.k0, profile.k1, profile.k2, profile.k3
+    a, b, k0, k1, k2, k3 = profile
     r = b - k1 - k2 - k3
     delta = k0 * r + k1 * (a - k0 + 2 * r + k3) + k2 * (r + (a - k0))
     delta_bar = k1 * (a - k0) + r * (k0 + 2 * k1 + k2) + k3 * (k1 + k0)
@@ -266,7 +275,7 @@ def _product_form(profile: TypeProfile) -> tuple[int, list[int]]:
     the k, s and m below; over i < k that is 2^(ks + k(k-1)/2) times the run
     (m - k, m].
     """
-    a, b, k0, k1, k2, k3 = profile.alpha, profile.beta, profile.k0, profile.k1, profile.k2, profile.k3
+    a, b, k0, k1, k2, k3 = profile
     l = k1 + k2 + k3
     factors = (  # (sign, k, s, m)
         (1, k0, b, a),                            # N1: (2^a - 2^i) 2^b
@@ -421,8 +430,7 @@ def valid_profiles(max_alpha: int, max_beta: int) -> Iterator[TypeProfile]:
 # identity checking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """Outcome of sweeping one identity over a bounded profile range."""
 
     key: str
@@ -436,8 +444,7 @@ class IdentityCheck:
         return self.passed == self.expected
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     max_alpha: int
     max_beta: int
     entries: tuple[IdentityCheck, ...]
@@ -453,10 +460,6 @@ class IdentityReport:
         raise KeyError(key)
 
 
-def _n(a: int, b: int, k0: int, k1: int, k2: int, k3: int) -> int:
-    return count(TypeProfile(a, b, k0, k1, k2, k3))
-
-
 def check_identities(max_alpha: int, max_beta: int) -> IdentityReport:
     """Sweep the known count identities over all profiles within the bounds.
 
@@ -465,10 +468,20 @@ def check_identities(max_alpha: int, max_beta: int) -> IdentityReport:
     literal reading `lemma4-literal` is expected to fail (counterexample
     (2,2;2,1,0,0): 48 vs 24) and `lemma4-corrected` carries the repaired
     factor 2^((alpha-1)(beta-l)).
+
+    Each valid profile within the bounds is counted once, up front; the
+    sweeps read those counts and count only the profiles outside the bounds.
     """
     if max_alpha < 1 or max_beta < 1:
         raise ValueError("bounds must be >= 1")
     entries: list[IdentityCheck] = []
+    A, B = max_alpha, max_beta
+    table = {p: count(p) for p in valid_profiles(A, B)}
+
+    def _n(a: int, b: int, k0: int, k1: int, k2: int, k3: int) -> int:
+        p = TypeProfile(a, b, k0, k1, k2, k3)
+        value = table.get(p)
+        return count(p) if value is None else value
 
     def sweep(key: str, statement: str, cases, expected: bool = True) -> None:
         failure = ""
@@ -479,8 +492,6 @@ def check_identities(max_alpha: int, max_beta: int) -> IdentityReport:
                 failure = f"first counterexample {label}: {lhs} != {rhs}"
                 break
         entries.append(IdentityCheck(key, statement, passed, expected, failure))
-
-    A, B = max_alpha, max_beta
 
     def cases_a():
         for r in range(1, A + 1):
@@ -568,8 +579,8 @@ def check_identities(max_alpha: int, max_beta: int) -> IdentityReport:
     sweep("h", "delta - delta_bar = alpha*k2 - k0*(k2+k3)", cases_h())
 
     # (N(a,b;a,k1,k2,k3), N(1,b;1,k1,k2,k3)) for a, b >= 1, shared by both readings
-    lemma4 = [(p, count(p), _n(1, p.beta, 1, p.k1, p.k2, p.k3))
-              for p in valid_profiles(A, B) if p.k0 == p.alpha >= 1 and p.beta >= 1]
+    lemma4 = [(p, n, table[TypeProfile(1, p.beta, 1, p.k1, p.k2, p.k3)])
+              for p, n in table.items() if p.k0 == p.alpha >= 1 and p.beta >= 1]
     # canonical documented counterexample first, so the report names it
     canonical = []
     if A >= 2 and B >= 2:
@@ -589,10 +600,8 @@ def check_identities(max_alpha: int, max_beta: int) -> IdentityReport:
     )
 
     def cases_self_dual():
-        for p in valid_profiles(A, B):
-            condition = self_dual_count_condition(p)
-            equal = count(p) == count(dual_type(p))
-            yield (str(p), condition, equal)
+        for p, n in table.items():
+            yield (str(p), self_dual_count_condition(p), n == table[dual_type(p)])
 
     sweep(
         "self-dual-criterion",

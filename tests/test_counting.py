@@ -1,5 +1,6 @@
 """Tests for the type-counting formulas and their identities."""
 
+import hashlib
 import time
 
 import pytest
@@ -320,6 +321,30 @@ def test_identity_c_at_r2_matches_direct_count():
 def test_check_identities_rejects_bad_bounds():
     with pytest.raises(ValueError):
         check_identities(0, 4)
+
+
+def test_check_identities_counts_each_profile_once(monkeypatch):
+    # every valid profile of the box once, plus the t1-fourth-term profiles
+    # (r,2r;r,r,0,r), r <= 4, that fall outside it; the sweeps used to count
+    # 8,001 times at (5,5)
+    calls = []
+    monkeypatch.setattr(counting, "count", lambda p: calls.append(p) or count(p))
+    report = check_identities(5, 5)
+    box = sum(1 for _ in valid_profiles(5, 5))
+    assert box == 2646
+    assert len(calls) <= box + 4
+    assert len(set(calls)) == len(calls)
+    assert report.success
+
+
+def test_check_identities_reports_unchanged():
+    # sha256 over repr(check_identities(A, B)) for A, B = 1..4 in turn, taken
+    # when every sweep counted its terms afresh
+    digest = hashlib.sha256()
+    for a in range(1, 5):
+        for b in range(1, 5):
+            digest.update(repr(check_identities(a, b)).encode())
+    assert digest.hexdigest() == "5c8e6db037a61dd72ff1e2053a0fd196a61b90f405fa7e3aee9a82eaf9b778a9"
 
 
 # ---------------------------------------------------------------------------

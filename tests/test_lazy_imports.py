@@ -1,9 +1,11 @@
-"""The package loads `codes` and `census` on first use, and its API is unchanged.
+"""The package loads `codes` and `census` on first use, no subcommand loads
+`dataclasses` or `inspect`, and its API is unchanged.
 
 Each case runs in a fresh child interpreter, since this process has already
 imported every module.
 """
 
+import functools
 import json
 import subprocess
 import sys
@@ -64,10 +66,12 @@ def in_child(code: str, *args: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-# records the package modules whose bodies run, through the audit event that
-# exec() raises for each module body, then runs cli.main(argv) silently
+# runs cli.main(sys.argv[1:]) silently; prints the package modules whose
+# bodies ran, through the audit event that exec() raises for each module
+# body, and which of dataclasses, inspect and json were loaded (the child
+# imports json itself only after that check)
 MODULES_RUN = """
-import contextlib, io, json, os, sys
+import contextlib, io, os, sys
 bodies = []
 def hook(event, args):
     if event == "exec" and getattr(args[0], "co_name", None) == "<module>":
@@ -75,29 +79,52 @@ def hook(event, args):
 sys.addaudithook(hook)
 from z2z8 import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    cli.main(json.loads(sys.argv[1]))
+    cli.main(sys.argv[1:])
+loaded = [name for name in ("dataclasses", "inspect", "json") if name in sys.modules]
 package = os.path.dirname(cli.__file__)
-print(json.dumps(sorted(os.path.splitext(os.path.basename(f))[0]
-                        for f in bodies if os.path.dirname(f) == package)))
+ran = sorted(os.path.splitext(os.path.basename(f))[0]
+             for f in bodies if os.path.dirname(f) == package)
+import json
+print(json.dumps([ran, loaded]))
 """
 
 PROFILE = ["--alpha", "2", "--beta", "2", "--k0", "1", "--k1", "1", "--k2", "1"]
 
+# id -> (argv, the package's lazy modules it runs, whether it writes JSON)
+SUBCOMMANDS = {
+    "count": (["count", *PROFILE, "--k3", "0"], set(), False),
+    "sequence": (["sequence", "t2"], set(), False),
+    "check-identities": (["check-identities", "--max-alpha", "2", "--max-beta", "2"], set(), False),
+    "matrix": (["matrix", *PROFILE, "--parity"], {"codes"}, False),
+    "matrix-span": (["matrix", *PROFILE, "--span"], {"codes", "census"}, False),
+    "verify": (["verify", "--alpha", "1", "--beta", "1"], {"codes", "census"}, False),
+    "census-export": (["census-export", "--alpha", "1", "--beta", "1"], {"codes", "census"}, True),
+    "count-json": (["count", *PROFILE, "--k3", "0", "--format", "json"], set(), True),
+    "check-identities-json": (["check-identities", "--max-alpha", "2", "--max-beta", "2",
+                               "--format", "json"], set(), True),
+}
 
-@pytest.mark.parametrize("argv,loaded", [
-    (["count", *PROFILE, "--k3", "0"], set()),
-    (["sequence", "t2"], set()),
-    (["check-identities", "--max-alpha", "2", "--max-beta", "2"], set()),
-    (["matrix", *PROFILE, "--parity"], {"codes"}),
-    (["matrix", *PROFILE, "--span"], {"codes", "census"}),
-    (["verify", "--alpha", "1", "--beta", "1"], {"codes", "census"}),
-    (["census-export", "--alpha", "1", "--beta", "1"], {"codes", "census"}),
-], ids=["count", "sequence", "check-identities", "matrix", "matrix-span", "verify",
-        "census-export"])
-def test_subcommand_runs_only_the_modules_it_uses(argv, loaded):
-    ran = in_child(MODULES_RUN, json.dumps(argv))
-    assert {"__init__", "cli", "counting", "qnum", "errors"} <= set(ran)
-    assert set(ran) & {"codes", "census"} == loaded
+
+@functools.lru_cache(maxsize=None)
+def cli_child(case: str) -> tuple[frozenset, frozenset]:
+    """(package modules run, watched stdlib modules loaded) by one subcommand."""
+    ran, loaded = in_child(MODULES_RUN, *SUBCOMMANDS[case][0])
+    return frozenset(ran), frozenset(loaded)
+
+
+@pytest.mark.parametrize("case", SUBCOMMANDS)
+def test_subcommand_runs_only_the_modules_it_uses(case):
+    ran, _ = cli_child(case)
+    assert {"__init__", "cli", "counting", "qnum", "errors"} <= ran
+    assert ran & {"codes", "census"} == SUBCOMMANDS[case][1]
+
+
+@pytest.mark.parametrize("case", SUBCOMMANDS)
+def test_no_subcommand_loads_dataclasses_or_inspect(case):
+    # dataclasses imports inspect, and with it ast, dis and tokenize: about
+    # 10 ms of every cold start; json loads only where JSON is written
+    _, loaded = cli_child(case)
+    assert loaded == ({"json"} if SUBCOMMANDS[case][2] else set())
 
 
 def test_all_is_unchanged():
