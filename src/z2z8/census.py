@@ -9,16 +9,21 @@ The walk adds one coordinate at a time, the column-by-column construction
 behind echelon and Howell forms over Z_{2^e}.  A subgroup M of P x Z_m, P the
 group on the coordinates already added, is fixed by its part K in P, the
 image of its new coordinate and one coset of K in P (see `_children`), so
-every subgroup comes exactly once, with no seen-set and no scan of the whole
-ambient.  The walk carries each subgroup's torsion sizes with it: M's follow
-from K's and a few lookups in tables built once per K, so no word of M is
-counted.  `census` builds the subgroups up to the last coordinate only and
-sizes the last coordinate's, nearly all of them, from their parents.  The
-levels are chained generators, so a walk holds one subgroup per coordinate.
-It runs on the packed words of `codes`, and no subgroup is decoded.  The
-older walk by index-2 covers stays as the test reference,
-`_subgroup_sets_by_covers`, and `codes._torsion_signature` stays the
-word-counting reference for the carried sizes.
+every subgroup comes exactly once, with no seen-set.  The walk carries each
+subgroup's coset words with it, the first word of each of its cosets: M's
+are K's with each new coordinate value below the index of M's image (see
+`_carry`), so the cosets of K come one step each and no group of words, P
+or the ambient, is ever built or scanned.  It carries each subgroup's
+torsion sizes too: M's follow from K's and a few lookups in tables built
+once per K, so no word of M is counted.  `census` builds the subgroups up
+to the last coordinate only and sizes the last coordinate's, nearly all of
+them, from their parents.  The levels are chained generators, so a walk
+holds one subgroup per coordinate.  It runs on the packed words of `codes`,
+and no subgroup is decoded.  The older walk by index-2 covers stays as the
+test reference, `_subgroup_sets_by_covers`; the scan of P for the cosets of
+K, `_coset_scan`, is the reference for the carried coset words, and
+`codes._torsion_signature` the word-counting reference for the carried
+sizes.
 """
 
 from __future__ import annotations
@@ -57,39 +62,76 @@ def check_ambient_size(alpha: int, beta: int, e: int) -> None:
         )
 
 
-def _lifts(ambient: codes._Ambient, i: int, prefix: list[int], sub: frozenset[int]
+def _lifts(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[int]
            ) -> list[list[int]]:
-    """The coset scan: one word v of each coset of `sub` in P, by order:
-    entry c holds the cosets of order 2^c modulo `sub`, for c = 0..top.
+    """The coset words `reps` of `sub` in P by order: entry c holds, in the
+    order of `reps`, the words of order 2^c modulo `sub`, for c = 0..top.
 
-    P is the group `prefix` on the coordinates below i and Z_m, m = 2^top, is
+    P is the group on the coordinates below i and Z_m, m = 2^top, is
     coordinate i.  The moduli never decrease along the coordinates, so the
-    order of a word of P divides m.
+    order of a word of P divides m.  `reps[0]` is 0, the coset `sub` itself.
     """
     mask = ambient.mask
     lifts: list[list[int]] = [[0]] + [[] for _ in range(ambient.moduli[i].bit_length() - 1)]
-    covered = set(sub)
-    for v in prefix:
-        if v not in covered:
-            covered.update([(w + v) & mask for w in sub])
-            c, y = 1, (v + v) & mask
-            while y not in sub:
-                c, y = c + 1, (y + y) & mask
-            lifts[c].append(v)
+    for v in islice(reps, 1, None):
+        c, y = 1, (v + v) & mask
+        while y not in sub:
+            c, y = c + 1, (y + y) & mask
+        lifts[c].append(v)
     return lifts
 
 
-def _children(ambient: codes._Ambient, i: int, prefix: list[int], sub: frozenset[int],
-              sizes: tuple[int, ...], grown: dict) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The subgroups of P x Z_m whose part in P is `sub`, other than `sub`
-    itself, as pairs (x, torsion sizes): the subgroup is `sub` + <x>.
+def _coset_scan(ambient: codes._Ambient, i: int, sub: frozenset[int]) -> list[int]:
+    """Test reference for the carried coset words: the first word of each
+    coset of `sub` in P, in P's order, found by a scan of the whole of P,
+    which the walk never builds.
 
-    P and m are as in `_lifts`.  A subgroup M of P x Z_m is fixed by its part
-    K in P (`sub`), by its image 2^a Z_m in coordinate i, and by the coset
-    v + K of the lifts of 2^a: the words v of P with x = v + 2^a e_i in M.
-    Such a v needs 2^b v in K, b = top - a, that is, the order 2^c of v
-    modulo K has c <= b.  Conversely each such triple gives
-    M = K | K + x | K + 2x | ..., so every subgroup comes once.
+    0 comes first, for `sub` itself; each word of P not yet covered is the
+    first of its coset, and its coset is then covered.  P, the group on the
+    first i coordinates, is packed and ordered as `codes._Ambient.elements`
+    gives it.
+    """
+    mask = ambient.mask
+    prefix = codes._Ambient(min(i, ambient.alpha), max(0, i - ambient.alpha), ambient.e)
+    words, covered = [0], set(sub)
+    for v in prefix.elements():
+        if v not in covered:
+            covered.update([(w + v) & mask for w in sub])
+            words.append(v)
+    return words
+
+
+def _carry(ambient: codes._Ambient, i: int, reps: list[int]) -> list[list[int]]:
+    """The coset words in P x Z_m of the subgroups M of P x Z_m whose part K
+    in P has the coset words `reps`, by the order 2^b of M's image in
+    coordinate i: entry b holds u + d e_i for u in `reps` and 0 <= d < m / 2^b.
+
+    Entry 0 is K itself.  Two words u + d e_i and u' + d' e_i with
+    d, d' < 2^a = m / 2^b lie in one coset of M only if d = d' (M's image is
+    2^a Z_m) and then u - u' lies in M's part K, so u = u'; and there are
+    |P x Z_m| / |M| = 2^a |P| / |K| of them.  With d outer and u inner, the
+    words come in the order of the group on coordinates 0..i, each the first
+    of its coset in that order, as `_coset_scan` finds them.
+    """
+    m = ambient.moduli[i]
+    words = [u | d << (4 * i) for d in range(m) for u in reps]
+    return [words] + [words[: len(words) >> b] for b in range(1, m.bit_length())]
+
+
+def _children(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[int],
+              sizes: tuple[int, ...], grown: dict
+              ) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """The subgroups of P x Z_m whose part in P is `sub`, other than `sub`
+    itself, as triples (x, torsion sizes, b): the subgroup is `sub` + <x>,
+    and its image in coordinate i has order 2^b.
+
+    P and m are as in `_lifts`, and `reps` holds the coset words of `sub` in
+    P.  A subgroup M of P x Z_m is fixed by its part K in P (`sub`), by its
+    image 2^a Z_m in coordinate i, and by the coset v + K of the lifts of
+    2^a: the words v of P with x = v + 2^a e_i in M.  Such a v needs 2^b v in
+    K, b = top - a, that is, the order 2^c of v modulo K has c <= b.
+    Conversely each such triple gives M = K | K + x | K + 2x | ..., so every
+    subgroup comes once.
 
     The sizes are (s_1, ..., s_e, z): M has 2^s_t words killed by 2^t and 2^z
     words of order <= 2 with zero binary part; K's are `sizes`.  M / K is
@@ -106,14 +148,15 @@ def _children(ambient: codes._Ambient, i: int, prefix: list[int], sub: frozenset
     t < e, and the lookup at b = c; `grown` keeps them by K's sizes and these,
     for the walk of one coordinate.
     """
-    lifts = _lifts(ambient, i, prefix, sub)
     if i < ambient.alpha:
+        # P is binary, so every word has order <= 2 modulo K: the lifts of
+        # 1 are all the coset words, in their order
         doubled = (*(s + 1 for s in sizes[:-1]), sizes[-1])
         unit = 1 << (4 * i)
-        for v in chain.from_iterable(lifts):
-            yield v | unit, doubled
+        for v in reps:
+            yield v | unit, doubled, 1
         return
-    mask, e, top = ambient.mask, ambient.e, len(lifts) - 1
+    mask, e = ambient.mask, ambient.e  # top = e on a Z_{2^e} coordinate
     # built once per K: 2^t K for t < e, a half in K of each word of 2K, and
     # the binary parts of K[2]
     multiples = [sub]
@@ -124,78 +167,83 @@ def _children(ambient: codes._Ambient, i: int, prefix: list[int], sub: frozenset
     binary_2 = {w & bin_mask for w in sub if not (w + w) & mask}
     *s, z = sizes
     shapes = grown.setdefault(sizes, {})
-    cosets: list[list[tuple[int, list]]] = []  # (v, its children's sizes by b), by c
-    for c, vs in enumerate(lifts):
-        cosets.append([])
-        for v in vs:
-            powers = [v]  # powers[j] = 2^j v, and 2^e v = 0 lies in every 2^t K
-            for _ in range(e):
-                powers.append((powers[-1] + powers[-1]) & mask)
-            least = []
-            for t in range(1, e):
-                j = c  # 2^t K lies in K, so j >= c
-                while powers[j] not in multiples[t]:
-                    j += 1
-                least.append(j)
-            h = halves.get(powers[c])
-            doubles = c > 0 and h is not None and (h + powers[c - 1]) & bin_mask in binary_2
-            key = (c, *least, doubles)
-            by_b = shapes.get(key)
-            if by_b is None:
-                by_b = shapes[key] = [None] * max(c, 1) + [
-                    (*(x + min(t, b, t + b - j) for t, x, j in zip(range(1, e), s, least)),
-                     s[-1] + b, z + (b > c or doubles))
-                    for b in range(max(c, 1), top + 1)
-                ]
-            cosets[-1].append((v, by_b))
-    for b in range(1, top + 1):
-        image = 1 << (4 * i + top - b)
+    cosets: list[list[tuple[int, list]]] = [[] for _ in range(e + 1)]  # (v, sizes by b), by c
+    for v in reps:
+        powers = [v]  # powers[j] = 2^j v, and 2^e v = 0 lies in every 2^t K
+        for _ in range(e):
+            powers.append((powers[-1] + powers[-1]) & mask)
+        c = 0
+        while powers[c] not in sub:
+            c += 1
+        least = []
+        for t in range(1, e):
+            j = c  # 2^t K lies in K, so j >= c
+            while powers[j] not in multiples[t]:
+                j += 1
+            least.append(j)
+        h = halves.get(powers[c])
+        doubles = c > 0 and h is not None and (h + powers[c - 1]) & bin_mask in binary_2
+        key = (c, *least, doubles)
+        by_b = shapes.get(key)
+        if by_b is None:
+            by_b = shapes[key] = [None] * max(c, 1) + [
+                (*(x + min(t, b, t + b - j) for t, x, j in zip(range(1, e), s, least)),
+                 s[-1] + b, z + (b > c or doubles))
+                for b in range(max(c, 1), e + 1)
+            ]
+        cosets[c].append((v, by_b))
+    for b in range(1, e + 1):
+        image = 1 << (4 * i + e - b)
         for v, by_b in chain.from_iterable(cosets[: b + 1]):
-            yield v | image, by_b[b]
+            yield v | image, by_b[b], b
 
 
-def _extend_sized(ambient: codes._Ambient, i: int, prefix: list[int],
-                  level: Iterable[tuple[frozenset[int], tuple[int, ...]]]
-                  ) -> Iterator[tuple[frozenset[int], tuple[int, ...]]]:
-    """The subgroups of P x Z_m with their torsion sizes, from those of P:
-    each subgroup of P, then its children (see `_children`)."""
+def _extend_sized(ambient: codes._Ambient, i: int,
+                  level: Iterable[tuple[tuple[frozenset[int], tuple[int, ...]], list[int]]]
+                  ) -> Iterator[tuple[tuple[frozenset[int], tuple[int, ...]], list[int]]]:
+    """The subgroups of P x Z_m with their torsion sizes and coset words,
+    from those of P: each subgroup of P, then its children (see `_children`
+    and `_carry`)."""
     grown: dict = {}
-    for sub, sizes in level:
-        yield sub, sizes
-        for x, child in _children(ambient, i, prefix, sub, sizes, grown):
-            yield ambient.adjoin(sub, x), child
+    for (sub, sizes), reps in level:
+        carried = _carry(ambient, i, reps)
+        yield (sub, sizes), carried[0]
+        for x, child, b in _children(ambient, i, sub, reps, sizes, grown):
+            yield (ambient.adjoin(sub, x), child), carried[b]
 
 
-def _extend(ambient: codes._Ambient, i: int, prefix: list[int],
-            level: Iterable[frozenset[int]]) -> Iterator[frozenset[int]]:
+def _extend(ambient: codes._Ambient, i: int, level: Iterable[tuple[frozenset[int], list[int]]]
+            ) -> Iterator[tuple[frozenset[int], list[int]]]:
     """`_extend_sized` without the sizes: the children come straight from
-    the coset scan, in the same order."""
-    for sub in level:
-        yield sub
-        lifts = _lifts(ambient, i, prefix, sub)
+    the grouped coset words, in the same order."""
+    for sub, reps in level:
+        carried = _carry(ambient, i, reps)
+        yield sub, carried[0]
+        lifts = _lifts(ambient, i, sub, reps)
         top = len(lifts) - 1
         for b in range(1, top + 1):
             image = 1 << (4 * i + top - b)
             for v in chain.from_iterable(lifts[: b + 1]):
-                yield ambient.adjoin(sub, v | image)
+                yield ambient.adjoin(sub, v | image), carried[b]
 
 
-def _walk(ambient: codes._Ambient, prefixes: Iterable[list[int]], extend, root) -> Iterator:
-    """Every subgroup of the group on the first len(prefixes) coordinates,
-    grown from `root`, the zero subgroup, by `extend` one coordinate at a
-    time.  The levels are chained generators, so a walk holds one subgroup
-    per coordinate and no list of them."""
-    level: Iterable = [root]
-    for i, prefix in enumerate(prefixes):
-        level = extend(ambient, i, prefix, level)
+def _walk(ambient: codes._Ambient, n: int, extend, root) -> Iterator[tuple]:
+    """Every subgroup of the group on the first n coordinates, grown from
+    `root`, the zero subgroup (with its sizes for `_extend_sized`), by
+    `extend` one coordinate at a time, as pairs (subgroup, its coset words
+    in that group); the root's coset words are [0].  The levels are chained
+    generators, so a walk holds one subgroup per coordinate and no list of
+    them, and builds no group of words."""
+    level: Iterable = [(root, [0])]
+    for i in range(n):
+        level = extend(ambient, i, level)
     return iter(level)
 
 
 def _subgroup_stream(ambient: codes._Ambient) -> Iterator[frozenset[int]]:
     """Every subgroup of the ambient group, once each, adding one coordinate
     at a time."""
-    prefixes = islice(ambient.prefixes(), len(ambient.moduli))
-    return _walk(ambient, prefixes, _extend, frozenset([0]))
+    return (sub for sub, _ in _walk(ambient, len(ambient.moduli), _extend, frozenset([0])))
 
 
 def _sized_stream(ambient: codes._Ambient) -> Iterator[tuple[int, ...]]:
@@ -204,13 +252,12 @@ def _sized_stream(ambient: codes._Ambient) -> Iterator[tuple[int, ...]]:
     The subgroups of the last coordinate, nearly all of them, are sized from
     their part on the coordinates before it and never built."""
     n = len(ambient.moduli)
-    prefixes = list(islice(ambient.prefixes(), n))
     grown: dict = {}
     root = (frozenset([0]), (0,) * (ambient.e + 1))
-    for sub, sizes in _walk(ambient, prefixes[:-1], _extend_sized, root):
+    for (sub, sizes), reps in _walk(ambient, max(n - 1, 0), _extend_sized, root):
         yield sizes
-        if prefixes:
-            for _, child in _children(ambient, n - 1, prefixes[-1], sub, sizes, grown):
+        if n:
+            for _, child, _ in _children(ambient, n - 1, sub, reps, sizes, grown):
                 yield child
 
 

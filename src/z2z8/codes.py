@@ -184,8 +184,8 @@ class _Ambient:
     Entries stay below 8, so the sum of two words never carries from one
     nibble into the next and addition is one add-and-mask.  A left shift by
     more than one does carry, so multiples are taken by repeated addition.
-    Construction builds no words; `elements` and `prefixes` materialize the
-    group on demand.
+    Construction builds no words; `elements` materializes the group on
+    demand.
     """
 
     def __init__(self, alpha: int, beta: int, e: int):
@@ -206,17 +206,12 @@ class _Ambient:
         digits = _unpack(x, self.alpha + self.beta)
         return MixedWord(digits[: self.alpha], digits[self.alpha:], self.e)
 
-    def prefixes(self) -> Iterator[list[int]]:
-        """The groups on the first i coordinates, for i = 0 .. alpha + beta:
-        the words whose coordinates i and above are zero."""
+    def elements(self) -> list[int]:
+        """Every word, the last coordinate outermost: for each i, the words
+        of the group on the first i coordinates come first, in this order."""
         words = [0]
-        yield words
         for i, m in enumerate(self.moduli):
             words = [x | d << (4 * i) for d in range(m) for x in words]
-            yield words
-
-    def elements(self) -> list[int]:
-        *_, words = self.prefixes()
         return words
 
     def adjoin(self, group: frozenset[int], g: int) -> frozenset[int]:

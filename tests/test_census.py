@@ -1,14 +1,16 @@
 """Tests for exhaustive subgroup enumeration and formula verification."""
 
+import importlib
 import json
 import time
 import tracemalloc
 from collections import Counter
-from itertools import islice
 
 import pytest
 
 from z2z8.census import (
+    _coset_scan,
+    _extend,
     _extend_sized,
     _signature,
     _sized_stream,
@@ -84,12 +86,40 @@ def test_coordinate_walk_matches_cover_walk(alpha, beta, e):
 
 @pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
 def test_walk_without_sizes_builds_the_sized_walks_subgroups(alpha, beta, e):
-    # the bare walk adjoins the coset scan's lifts directly: the same
+    # the bare walk adjoins the lifts of its coset words directly: the same
     # subgroups, in the same order, as the walk that carries sizes
     ambient = _Ambient(alpha, beta, e)
-    prefixes = islice(ambient.prefixes(), len(ambient.moduli))
-    sized = _walk(ambient, prefixes, _extend_sized, (frozenset([0]), (0,) * (e + 1)))
+    root = (frozenset([0]), (0,) * (e + 1))
+    sized = [item for item, _ in _walk(ambient, len(ambient.moduli), _extend_sized, root)]
     assert list(_subgroup_stream(ambient)) == [sub for sub, _ in sized]
+
+
+@pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
+def test_carried_coset_words_are_the_coset_scans(alpha, beta, e):
+    # every subgroup K of the ambient, in walk order, with the coset words
+    # the walk carried for it, against the scan of the ambient: the same
+    # words in the same order, so the same lifts once grouped by their
+    # order modulo K, as a further coordinate would see them
+    ambient = _Ambient(alpha, beta, e)
+    n = len(ambient.moduli)
+    walked = 0
+    for sub, reps in _walk(ambient, n, _extend, frozenset([0])):
+        assert reps[0] == 0 and len(reps) == 2 ** ambient.bits // len(sub)
+        assert reps == _coset_scan(ambient, n, sub)
+        walked += 1
+    assert walked == census(alpha, beta, e).total_subgroups
+
+
+def test_walk_builds_no_prefix_group(monkeypatch):
+    # the walk carries its coset words: neither the ambient's words nor the
+    # scan of a prefix group is ever needed
+    def refuse(*args):
+        raise AssertionError("the walk built a group of words")
+
+    monkeypatch.setattr(_Ambient, "elements", refuse)
+    monkeypatch.setattr(importlib.import_module("z2z8.census"), "_coset_scan", refuse)
+    assert census(3, 2, 3).total_subgroups == 4162
+    assert len(enumerate_subgroups(2, 2, 3)) == 671
 
 
 def test_guard_rejects_large_ambient():
