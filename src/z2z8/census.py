@@ -15,13 +15,15 @@ are K's with each new coordinate value below the index of M's image (see
 `_carry`), so the cosets of K come one step each and no group of words, P
 or the ambient, is ever built or scanned.  It carries each subgroup's
 torsion sizes too: M's follow from K's and a few lookups in tables built
-once per K, so no word of M is counted.  `census` builds the subgroups up
-to the last coordinate only and sizes the last coordinate's, nearly all of
-them, from their parents.  The levels are chained generators, so a walk
-holds one subgroup per coordinate.  It runs on the packed words of `codes`,
-and no subgroup is decoded.  The older walk by index-2 covers stays as the
-test reference, `_subgroup_sets_by_covers`; the scan of P for the cosets of
-K, `_coset_scan`, is the reference for the carried coset words, and
+once per K, so no word of M is counted.  There is one walk, `_walk`, and
+both streams run it up to the last coordinate only: the last coordinate's
+subgroups, nearly all of them, come straight from their parents'
+`_children`, with no coset words, and `census` sizes them without building
+them.  The levels are chained generators, so a walk holds one subgroup per
+coordinate.  It runs on the packed words of `codes`, and no subgroup is
+decoded.  The older walk by index-2 covers stays as the test reference,
+`_subgroup_sets_by_covers`; the scan of P for the cosets of K,
+`_coset_scan`, is the reference for the carried coset words, and
 `codes._torsion_signature` the word-counting reference for the carried
 sizes.
 """
@@ -29,7 +31,7 @@ sizes.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, islice, product
+from itertools import chain, product
 from typing import Iterable, Iterator, NamedTuple
 
 from . import codes, counting
@@ -60,25 +62,6 @@ def check_ambient_size(alpha: int, beta: int, e: int) -> None:
         raise AmbientTooLargeError(
             f"ambient group has 2^{bits} words, at or above the 2^{AMBIENT_GUARD_BITS} guard"
         )
-
-
-def _lifts(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[int]
-           ) -> list[list[int]]:
-    """The coset words `reps` of `sub` in P by order: entry c holds, in the
-    order of `reps`, the words of order 2^c modulo `sub`, for c = 0..top.
-
-    P is the group on the coordinates below i and Z_m, m = 2^top, is
-    coordinate i.  The moduli never decrease along the coordinates, so the
-    order of a word of P divides m.  `reps[0]` is 0, the coset `sub` itself.
-    """
-    mask = ambient.mask
-    lifts: list[list[int]] = [[0]] + [[] for _ in range(ambient.moduli[i].bit_length() - 1)]
-    for v in islice(reps, 1, None):
-        c, y = 1, (v + v) & mask
-        while y not in sub:
-            c, y = c + 1, (y + y) & mask
-        lifts[c].append(v)
-    return lifts
 
 
 def _coset_scan(ambient: codes._Ambient, i: int, sub: frozenset[int]) -> list[int]:
@@ -125,10 +108,12 @@ def _children(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[i
     itself, as triples (x, torsion sizes, b): the subgroup is `sub` + <x>,
     and its image in coordinate i has order 2^b.
 
-    P and m are as in `_lifts`, and `reps` holds the coset words of `sub` in
-    P.  A subgroup M of P x Z_m is fixed by its part K in P (`sub`), by its
-    image 2^a Z_m in coordinate i, and by the coset v + K of the lifts of
-    2^a: the words v of P with x = v + 2^a e_i in M.  Such a v needs 2^b v in
+    P is the group on the coordinates below i, Z_m with m = 2^top is
+    coordinate i, and `reps` holds the coset words of `sub` in P; the moduli
+    never decrease along the coordinates, so the order of a word of P
+    divides m.  A subgroup M of P x Z_m is fixed by its part K in P
+    (`sub`), by its image 2^a Z_m in coordinate i, and by the coset v + K of
+    the lifts of 2^a: the words v of P with x = v + 2^a e_i in M.  Such a v needs 2^b v in
     K, b = top - a, that is, the order 2^c of v modulo K has c <= b.
     Conversely each such triple gives M = K | K + x | K + 2x | ..., so every
     subgroup comes once.
@@ -198,12 +183,12 @@ def _children(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[i
             yield v | image, by_b[b], b
 
 
-def _extend_sized(ambient: codes._Ambient, i: int,
-                  level: Iterable[tuple[tuple[frozenset[int], tuple[int, ...]], list[int]]]
-                  ) -> Iterator[tuple[tuple[frozenset[int], tuple[int, ...]], list[int]]]:
-    """The subgroups of P x Z_m with their torsion sizes and coset words,
-    from those of P: each subgroup of P, then its children (see `_children`
-    and `_carry`)."""
+def _extend(ambient: codes._Ambient, i: int,
+            level: Iterable[tuple[tuple[frozenset[int], tuple[int, ...]], list[int]]]
+            ) -> Iterator[tuple[tuple[frozenset[int], tuple[int, ...]], list[int]]]:
+    """The step of `_walk`: the subgroups of P x Z_m with their torsion sizes
+    and coset words, from those of P: each subgroup of P, then its children
+    (see `_children` and `_carry`)."""
     grown: dict = {}
     for (sub, sizes), reps in level:
         carried = _carry(ambient, i, reps)
@@ -212,38 +197,33 @@ def _extend_sized(ambient: codes._Ambient, i: int,
             yield (ambient.adjoin(sub, x), child), carried[b]
 
 
-def _extend(ambient: codes._Ambient, i: int, level: Iterable[tuple[frozenset[int], list[int]]]
-            ) -> Iterator[tuple[frozenset[int], list[int]]]:
-    """`_extend_sized` without the sizes: the children come straight from
-    the grouped coset words, in the same order."""
-    for sub, reps in level:
-        carried = _carry(ambient, i, reps)
-        yield sub, carried[0]
-        lifts = _lifts(ambient, i, sub, reps)
-        top = len(lifts) - 1
-        for b in range(1, top + 1):
-            image = 1 << (4 * i + top - b)
-            for v in chain.from_iterable(lifts[: b + 1]):
-                yield ambient.adjoin(sub, v | image), carried[b]
-
-
-def _walk(ambient: codes._Ambient, n: int, extend, root) -> Iterator[tuple]:
-    """Every subgroup of the group on the first n coordinates, grown from
-    `root`, the zero subgroup (with its sizes for `_extend_sized`), by
-    `extend` one coordinate at a time, as pairs (subgroup, its coset words
-    in that group); the root's coset words are [0].  The levels are chained
-    generators, so a walk holds one subgroup per coordinate and no list of
-    them, and builds no group of words."""
-    level: Iterable = [(root, [0])]
+def _walk(ambient: codes._Ambient, n: int
+          ) -> Iterator[tuple[tuple[frozenset[int], tuple[int, ...]], list[int]]]:
+    """Every subgroup of the group on the first n coordinates, grown from the
+    zero subgroup by `_extend` one coordinate at a time, as pairs
+    ((subgroup, its torsion sizes), its coset words in that group); the
+    root's coset words are [0].  The levels are chained generators, so a
+    walk holds one subgroup per coordinate and no list of them, and builds
+    no group of words."""
+    level: Iterable = [((frozenset([0]), (0,) * (ambient.e + 1)), [0])]
     for i in range(n):
-        level = extend(ambient, i, level)
+        level = _extend(ambient, i, level)
     return iter(level)
 
 
 def _subgroup_stream(ambient: codes._Ambient) -> Iterator[frozenset[int]]:
     """Every subgroup of the ambient group, once each, adding one coordinate
-    at a time."""
-    return (sub for sub, _ in _walk(ambient, len(ambient.moduli), _extend, frozenset([0])))
+    at a time.
+
+    The subgroups of the last coordinate are built from their part on the
+    coordinates before it, straight from `_children`, with no coset words."""
+    n = len(ambient.moduli)
+    grown: dict = {}
+    for (sub, sizes), reps in _walk(ambient, max(n - 1, 0)):
+        yield sub
+        if n:
+            for x, _, _ in _children(ambient, n - 1, sub, reps, sizes, grown):
+                yield ambient.adjoin(sub, x)
 
 
 def _sized_stream(ambient: codes._Ambient) -> Iterator[tuple[int, ...]]:
@@ -253,8 +233,7 @@ def _sized_stream(ambient: codes._Ambient) -> Iterator[tuple[int, ...]]:
     their part on the coordinates before it and never built."""
     n = len(ambient.moduli)
     grown: dict = {}
-    root = (frozenset([0]), (0,) * (ambient.e + 1))
-    for (sub, sizes), reps in _walk(ambient, max(n - 1, 0), _extend_sized, root):
+    for (sub, sizes), reps in _walk(ambient, max(n - 1, 0)):
         yield sizes
         if n:
             for _, child, _ in _children(ambient, n - 1, sub, reps, sizes, grown):
@@ -340,7 +319,9 @@ def formula_census(alpha: int, beta: int, e: int = 3) -> TypeCensus:
 
     A type (k0; k_1..k_e) is counted as the Z8 type with 3 - e leading zero
     modular slots: over Z_{2^e} there are no generators of the higher orders.
+    The ring exponent and dimensions are checked as `census` checks them.
     """
+    codes._Ambient(alpha, beta, e)  # raises ValueError as census does; builds no words
     counts: dict[tuple[int, ...], int] = {}
     for k0 in range(alpha + 1):
         for ks in product(range(beta + 1), repeat=e):

@@ -10,8 +10,6 @@ import pytest
 
 from z2z8.census import (
     _coset_scan,
-    _extend,
-    _extend_sized,
     _signature,
     _sized_stream,
     _subgroup_sets_by_covers,
@@ -86,12 +84,12 @@ def test_coordinate_walk_matches_cover_walk(alpha, beta, e):
 
 @pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
 def test_walk_without_sizes_builds_the_sized_walks_subgroups(alpha, beta, e):
-    # the bare walk adjoins the lifts of its coset words directly: the same
-    # subgroups, in the same order, as the walk that carries sizes
+    # the bare stream takes the last coordinate's subgroups straight from
+    # `_children`: the same subgroups, in the same order, as the full walk
+    # over every coordinate
     ambient = _Ambient(alpha, beta, e)
-    root = (frozenset([0]), (0,) * (e + 1))
-    sized = [item for item, _ in _walk(ambient, len(ambient.moduli), _extend_sized, root)]
-    assert list(_subgroup_stream(ambient)) == [sub for sub, _ in sized]
+    walked = [sub for (sub, _), _ in _walk(ambient, len(ambient.moduli))]
+    assert list(_subgroup_stream(ambient)) == walked
 
 
 @pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
@@ -103,7 +101,7 @@ def test_carried_coset_words_are_the_coset_scans(alpha, beta, e):
     ambient = _Ambient(alpha, beta, e)
     n = len(ambient.moduli)
     walked = 0
-    for sub, reps in _walk(ambient, n, _extend, frozenset([0])):
+    for (sub, _), reps in _walk(ambient, n):
         assert reps[0] == 0 and len(reps) == 2 ** ambient.bits // len(sub)
         assert reps == _coset_scan(ambient, n, sub)
         walked += 1
@@ -120,6 +118,24 @@ def test_walk_builds_no_prefix_group(monkeypatch):
     monkeypatch.setattr(importlib.import_module("z2z8.census"), "_coset_scan", refuse)
     assert census(3, 2, 3).total_subgroups == 4162
     assert len(enumerate_subgroups(2, 2, 3)) == 671
+
+
+@pytest.mark.parametrize("stream", [census, enumerate_subgroups])
+def test_no_coset_words_for_the_last_coordinate(monkeypatch, stream):
+    # coset words are carried once per subgroup of the prefixes on the first
+    # n - 1 coordinates, (0,0), (1,0), (2,0) and (3,0) for (3,2,3):
+    # 1 + 2 + 5 + 16, and never for the last coordinate's subgroups
+    module = importlib.import_module("z2z8.census")
+    carry, calls = module._carry, 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return carry(*args)
+
+    monkeypatch.setattr(module, "_carry", counted)
+    stream(3, 2, 3)
+    assert calls == 24
 
 
 def test_guard_rejects_large_ambient():
@@ -262,6 +278,16 @@ def test_verify_covers_every_valid_profile():
     report = verify_formula(1, 1, 3)
     assert len(report.rows) == 8
     assert report.total_enumerated == 11
+
+
+@pytest.mark.parametrize("alpha,beta,e", [(2, 2, 1), (2, 2, 4), (-1, 2, 3), (2, -1, 2)])
+def test_formula_census_rejects_what_census_rejects(alpha, beta, e):
+    # the ring exponent and the dimensions, with census's ValueError
+    with pytest.raises(ValueError) as enumerated:
+        census(alpha, beta, e)
+    with pytest.raises(ValueError) as formula:
+        formula_census(alpha, beta, e)
+    assert str(formula.value) == str(enumerated.value)
 
 
 def test_formula_census_mirrors_enumeration():

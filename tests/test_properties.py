@@ -2,11 +2,15 @@
 arithmetic, and the laws that spans, duals, classification and the mod-4
 reduction obey on random small codes, for e in {2, 3}; the parity-check
 rows of a random standard form, over either ring, against the brute-force
-dual."""
+dual; and the coordinate walk against `span`."""
+
+from collections import Counter
+from functools import cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from z2z8.census import _subgroup_stream
 from z2z8.codes import (
     MixedWord,
     _Ambient,
@@ -120,6 +124,21 @@ def test_dual_laws(case):
     assert d.words == {
         v for v in ambient_words(alpha, beta, e) if all(inner_product(g, v) == 0 for g in gens)
     }
+
+
+@cache
+def walked_subgroups(alpha, beta, e):
+    """How often the coordinate walk yields each subgroup, once per ambient."""
+    return Counter(_subgroup_stream(_Ambient(alpha, beta, e)))
+
+
+@few
+@given(generator_sets(max_bits=7))
+def test_walk_yields_each_span_once(case):
+    # the span of any generators is a subgroup, so the walk must reach it,
+    # and exactly once: a check on the walk from outside the cover walk
+    alpha, beta, e, gens = case
+    assert walked_subgroups(alpha, beta, e)[span(gens, alpha=alpha, beta=beta, e=e)._packed] == 1
 
 
 @st.composite
