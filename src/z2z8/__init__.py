@@ -12,10 +12,8 @@ import sys
 from .counting import (
     CountBreakdown,
     DeltaExponents,
-    IdentityReport,
     TypeProfile,
     binary_binomial_identity,
-    check_identities,
     count,
     count_closed_form,
     count_dual,
@@ -48,9 +46,12 @@ def _lazy(name: str):
 # count, sequence and check-identities need neither of these
 codes = _lazy("codes")
 _census = _lazy("census")
+# and only check-identities needs this one
+identities = _lazy("identities")
 
 # re-exported name -> the lazy module that defines it
 _LAZY_NAMES = {
+    **dict.fromkeys(["IdentityReport", "check_identities"], identities),
     **dict.fromkeys(["TypeCensus", "census", "enumerate_subgroups", "formula_census",
                      "verify_formula"], _census),
     **dict.fromkeys(["Code", "MixedWord", "ParityCheckMatrix", "StandardFormMatrix",

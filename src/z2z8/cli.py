@@ -12,7 +12,7 @@ import re
 import sys
 from typing import Sequence
 
-from . import codes, counting
+from . import codes, counting, identities
 from .counting import TypeProfile
 from .errors import AmbientTooLargeError, SelfCheckError
 
@@ -38,7 +38,7 @@ FAMILIES: dict[str, tuple[tuple[tuple[int, int], ...], int]] = {
 MAX_SEQUENCE_SPAN = 10**4
 
 # a*r, then b; a sign must part the r term from b, so 'r1' and '2r3' are rejected
-_AFFINE_RE = re.compile(r"(?:(\d*)\*?r(?=[+-]|$))?([+-]?\d+)?")
+_AFFINE_PATTERN = r"(?:(\d*)\*?r(?=[+-]|$))?([+-]?\d+)?"
 
 
 class UsageError(Exception):
@@ -48,7 +48,7 @@ class UsageError(Exception):
 def parse_affine(text: str) -> tuple[int, int]:
     """Parse 'a*r + b' style expressions: 'r', '2r', 'r+1', '2r-1', '3', ..."""
     s = text.replace(" ", "")
-    m = _AFFINE_RE.fullmatch(s)
+    m = re.fullmatch(_AFFINE_PATTERN, s)  # compiled on first use: only --exprs parses
     if not m or (m.group(1) is None and m.group(2) is None):
         raise UsageError(f"cannot parse affine expression {text!r}")
     a = 0 if m.group(1) is None else (int(m.group(1)) if m.group(1) else 1)
@@ -150,9 +150,9 @@ def cmd_count(args) -> tuple[int, str]:
     value = counting.count(profile)
     factors = delta = dual = None
     if args.breakdown:
-        b = counting.count_product(profile)
-        factors = {"N1": b.n1, "N2": b.n2, "N3": b.n3, "N4": b.n4,
-                   "D1": b.d1, "D2": b.d2, "D3": b.d3, "D4": b.d4}
+        # the factors alone: the count is `value`, so count_product's division is not needed
+        factors = dict(zip(("N1", "N2", "N3", "N4", "D1", "D2", "D3", "D4"),
+                           counting._product_factors(profile)))
         if profile.is_valid():
             delta = counting.delta_exponents(profile).delta
     if args.dual:
@@ -249,7 +249,7 @@ def cmd_verify(args) -> tuple[int, str]:
 def cmd_check_identities(args) -> tuple[int, str]:
     if args.max_alpha < 1 or args.max_beta < 1:
         raise UsageError("bounds must be >= 1")
-    report = counting.check_identities(args.max_alpha, args.max_beta)
+    report = identities.check_identities(args.max_alpha, args.max_beta)
     if args.format == "json":
         doc = {
             "max_alpha": report.max_alpha,

@@ -14,7 +14,9 @@ tests compare against, with the q-kernel in `qnum`.
 
 Specializations cover linear codes over Z8, additive codes over Z2 x Z4,
 and the classical 2-binomial coefficients, plus the duality arithmetic
-relating a type to the type of its dual code.
+relating a type to the type of its dual code.  The sweeps of the known
+identities among these numbers (`check_identities` and its records) live in
+`z2z8.identities`, which loads on first use; they stay importable from here.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ __all__ = [
     "TypeProfile",
     "CountBreakdown",
     "DeltaExponents",
-    "IdentityCheck",
+    "IdentityCheck",  # this, IdentityReport and check_identities: see __getattr__
     "IdentityReport",
     "count",
     "count_product",
@@ -46,6 +48,16 @@ __all__ = [
     "check_identities",
     "valid_profiles",
 ]
+
+
+def __getattr__(name: str):
+    # the identity sweeps live in z2z8.identities, compiled only when asked
+    # for: most runs never check identities
+    if name in ("IdentityCheck", "IdentityReport", "check_identities"):
+        from . import identities
+
+        return getattr(identities, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # The value types are NamedTuples, not dataclasses: `dataclasses` imports
@@ -139,10 +151,22 @@ def count_product(profile: TypeProfile) -> CountBreakdown:
     Each Ni counts ordered generator choices in the whole ambient group, the
     matching Di counts them inside one code of the type; zero ki leave the
     corresponding factors at 1.  Invalid profiles yield total 0 with all
-    factors 1.
+    factors 1.  The exact division makes this the labelled test oracle for
+    `count`, which never divides.
     """
+    n1, n2, n3, n4, d1, d2, d3, d4 = _product_factors(profile)
     if not profile.is_valid():
-        return CountBreakdown(1, 1, 1, 1, 1, 1, 1, 1, 0)
+        return CountBreakdown(n1, n2, n3, n4, d1, d2, d3, d4, 0)
+    total, rem = divmod(n1 * n2 * n3 * n4, d1 * d2 * d3 * d4)
+    if rem:
+        raise SelfCheckError(f"product formula quotient not integral at {profile}")
+    return CountBreakdown(n1, n2, n3, n4, d1, d2, d3, d4, total)
+
+
+def _product_factors(profile: TypeProfile) -> tuple[int, ...]:
+    """N1, N2, N3, N4, D1, D2, D3, D4 of the product formula; all 1 for invalid profiles."""
+    if not profile.is_valid():
+        return (1,) * 8
     a, b = profile.alpha, profile.beta
     k0, k1, k2, k3 = profile.ks
 
@@ -165,11 +189,7 @@ def count_product(profile: TypeProfile) -> CountBreakdown:
         d3 *= (4**k2 - 2 ** (k2 + i)) * 2 ** (k0 + 2 * k1 + k3)
     for i in range(k3):
         d4 *= 2 ** (k1 + k2 + k3) - 2 ** (k1 + k2 + i)
-
-    total, rem = divmod(n1 * n2 * n3 * n4, d1 * d2 * d3 * d4)
-    if rem:
-        raise SelfCheckError(f"product formula quotient not integral at {profile}")
-    return CountBreakdown(n1, n2, n3, n4, d1, d2, d3, d4, total)
+    return n1, n2, n3, n4, d1, d2, d3, d4
 
 
 def delta_exponents(profile: TypeProfile) -> DeltaExponents:
@@ -269,7 +289,7 @@ def _closed_form(profile: TypeProfile) -> tuple[int, list[int]]:
 
 
 def _product_form(profile: TypeProfile) -> tuple[int, list[int]]:
-    """N1..N4 / D1..D4 of `count_product`, read off its loop bounds (valid profiles).
+    """N1..N4 / D1..D4 of `_product_factors`, read off its loop bounds (valid profiles).
 
     The i-th factor of each Ni and Di is 2^(s+i) (2^(m-i) - 1) for i < k, with
     the k, s and m below; over i < k that is 2^(ks + k(k-1)/2) times the run
@@ -424,216 +444,3 @@ def valid_profiles(max_alpha: int, max_beta: int) -> Iterator[TypeProfile]:
                     for k2 in range(b - k1 + 1):
                         for k3 in range(b - k1 - k2 + 1):
                             yield TypeProfile(a, b, k0, k1, k2, k3)
-
-
-# ---------------------------------------------------------------------------
-# identity checking
-# ---------------------------------------------------------------------------
-
-class IdentityCheck(NamedTuple):
-    """Outcome of sweeping one identity over a bounded profile range."""
-
-    key: str
-    statement: str
-    passed: bool
-    expected: bool  # False marks an identity known to be misstated
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.passed == self.expected
-
-
-class IdentityReport(NamedTuple):
-    max_alpha: int
-    max_beta: int
-    entries: tuple[IdentityCheck, ...]
-
-    @property
-    def success(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def entry(self, key: str) -> IdentityCheck:
-        for e in self.entries:
-            if e.key == key:
-                return e
-        raise KeyError(key)
-
-
-def check_identities(max_alpha: int, max_beta: int) -> IdentityReport:
-    """Sweep the known count identities over all profiles within the bounds.
-
-    Every identity is evaluated exactly; a failing sweep records its first
-    counterexample.  Two entries cover a misstated textbook relation: the
-    literal reading `lemma4-literal` is expected to fail (counterexample
-    (2,2;2,1,0,0): 48 vs 24) and `lemma4-corrected` carries the repaired
-    factor 2^((alpha-1)(beta-l)).
-
-    Each valid profile within the bounds is counted once, up front; the
-    sweeps read those counts and count only the profiles outside the bounds.
-    """
-    if max_alpha < 1 or max_beta < 1:
-        raise ValueError("bounds must be >= 1")
-    entries: list[IdentityCheck] = []
-    A, B = max_alpha, max_beta
-    table = {p: count(p) for p in valid_profiles(A, B)}
-
-    def _n(a: int, b: int, k0: int, k1: int, k2: int, k3: int) -> int:
-        p = TypeProfile(a, b, k0, k1, k2, k3)
-        value = table.get(p)
-        return count(p) if value is None else value
-
-    def sweep(key: str, statement: str, cases, expected: bool = True) -> None:
-        failure = ""
-        passed = True
-        for label, lhs, rhs in cases:
-            if lhs != rhs:
-                passed = False
-                failure = f"first counterexample {label}: {lhs} != {rhs}"
-                break
-        entries.append(IdentityCheck(key, statement, passed, expected, failure))
-
-    def cases_a():
-        for r in range(1, A + 1):
-            for s in range(1, B + 1):
-                yield (f"(r,s)=({r},{s}) k1-slot", _n(r, s, r, s, 0, 0), 1)
-                yield (f"(r,s)=({r},{s}) k2-slot", _n(r, s, r, 0, s, 0), 1)
-                yield (f"(r,s)=({r},{s}) k3-slot", _n(r, s, r, 0, 0, s), 1)
-
-    sweep("a", "N(r,s;r,s,0,0) = N(r,s;r,0,s,0) = N(r,s;r,0,0,s) = 1", cases_a())
-
-    def cases_b():
-        # ratio identity, checked multiplicatively in integers
-        for r in range(1, A):
-            for s in range(2, B + 1):
-                lhs = _n(r + 1, s, 1, 1, 1, 0) * (2**r - 1)
-                rhs = 4 * (2 ** (r + 1) - 1) * _n(r, s, 1, 1, 1, 0)
-                yield (f"(r,s)=({r},{s})", lhs, rhs)
-
-    sweep("b", "N(r+1,s;1,1,1,0)/N(r,s;1,1,1,0) = 4(2^(r+1)-1)/(2^r-1)", cases_b())
-
-    def cases_c():
-        for r in range(2, B + 1):
-            closed = 2 ** (4 * r - 8) * (2 ** (r - 1) - 1) * (2**r - 1)
-            yield (f"r={r}", _n(1, r, 1, 1, 1, 0), closed)
-
-    sweep("c", "N(1,r;1,1,1,0) = 2^(4r-8) (2^(r-1)-1)(2^r-1) for r >= 2", cases_c())
-
-    def cases_d():
-        for a in range(1, A):
-            for r in range(2, B + 1):
-                lhs = _n(a + 1, r, 1, 1, 1, 0)
-                rhs = 4 * _n(a, r, 1, 1, 1, 0) + (2**r - 1) * (2 ** (r - 1) - 1) * 2 ** (
-                    3 * a + 4 * (r - 2)
-                )
-                yield (f"(alpha,r)=({a},{r})", lhs, rhs)
-
-    sweep("d", "N(a+1,r;1,1,1,0) = 4 N(a,r;1,1,1,0) + (2^r-1)(2^(r-1)-1) 2^(3a+4(r-2))", cases_d())
-
-    def cases_e():
-        for j in range(1, A + 1):
-            for k in range(3, B + 1):
-                lhs = _n(j, k, j, 1, 1, 1)
-                rhs = 2 ** ((k - 3) * (j - 1)) * _n(1, k, 1, 1, 1, 1)
-                yield (f"(j,k)=({j},{k})", lhs, rhs)
-
-    sweep("e", "N(j,k;j,1,1,1) = 2^((k-3)(j-1)) N(1,k;1,1,1,1) for k >= 3", cases_e())
-
-    def cases_f():
-        for r in range(1, A + 1):
-            for s in range(2, B + 1):
-                target = 2**s - 1
-                yield (f"(r,s)=({r},{s}) (0,1,s-1)", _n(r, s, r, 0, 1, s - 1), target)
-                yield (f"(r,s)=({r},{s}) (0,s-1,1)", _n(r, s, r, 0, s - 1, 1), target)
-                yield (f"(r,s)=({r},{s}) (s-1,1,0)", _n(r, s, r, s - 1, 1, 0), target)
-                yield (f"(r,s)=({r},{s}) (1,s-1,0)", _n(r, s, r, 1, s - 1, 0), target)
-
-    sweep("f", "N(r,s;r,0,1,s-1) = ... = N(r,s;r,1,s-1,0) = 2^s - 1 for s >= 2", cases_f())
-
-    def cases_g():
-        for r in range(1, A + 1):
-            for s in range(1, B + 1):
-                for k in range(s + 1):
-                    yield (
-                        f"(r,s,k)=({r},{s},{k}) middle",
-                        _n(r, s, r, 0, k, s - k),
-                        _n(r, s, r, s - k, k, 0),
-                    )
-                    yield (
-                        f"(r,s,k)=({r},{s},{k}) outer",
-                        _n(r, s, r, k, 0, s - k),
-                        _n(r, s, r, s - k, 0, k),
-                    )
-
-    sweep("g", "N(r,s;r,0,k,s-k) = N(r,s;r,s-k,k,0) and N(r,s;r,k,0,s-k) = N(r,s;r,s-k,0,k)", cases_g())
-
-    def cases_h():
-        for p in valid_profiles(A, B):
-            d = delta_exponents(p)
-            yield (
-                str(p),
-                d.delta - d.delta_bar,
-                p.alpha * p.k2 - p.k0 * (p.k2 + p.k3),
-            )
-
-    sweep("h", "delta - delta_bar = alpha*k2 - k0*(k2+k3)", cases_h())
-
-    # (N(a,b;a,k1,k2,k3), N(1,b;1,k1,k2,k3)) for a, b >= 1, shared by both readings
-    lemma4 = [(p, n, table[TypeProfile(1, p.beta, 1, p.k1, p.k2, p.k3)])
-              for p, n in table.items() if p.k0 == p.alpha >= 1 and p.beta >= 1]
-    # canonical documented counterexample first, so the report names it
-    canonical = []
-    if A >= 2 and B >= 2:
-        canonical.append(("(2,2;2,1,0,0)", _n(2, 2, 2, 1, 0, 0), _n(1, 2, 1, 1, 0, 0)))
-
-    sweep(
-        "lemma4-literal",
-        "N(a,b;a,k1,k2,k3) = N(1,b;1,k1,k2,k3) for all a >= 1 (misstated; fails)",
-        canonical + [(str(p), lhs, rhs) for p, lhs, rhs in lemma4],
-        expected=False,
-    )
-
-    sweep(
-        "lemma4-corrected",
-        "N(a,b;a,k1,k2,k3) = 2^((a-1)(b-l)) N(1,b;1,k1,k2,k3)",
-        [(str(p), lhs, 2 ** ((p.alpha - 1) * (p.beta - p.l)) * rhs) for p, lhs, rhs in lemma4],
-    )
-
-    def cases_self_dual():
-        for p, n in table.items():
-            yield (str(p), self_dual_count_condition(p), n == table[dual_type(p)])
-
-    sweep(
-        "self-dual-criterion",
-        "count(p) = count(dual_type(p)) exactly when alpha*k2 = k0*(k2+k3)",
-        cases_self_dual(),
-    )
-
-    def cases_swap():
-        for r in range(1, A + 1):
-            for m in range(r + 1):
-                for s in range(1, B + 1):
-                    for k in range(s + 1):
-                        yield (
-                            f"(r,s;m,{k},{s - k},0)",
-                            _n(r, s, m, k, s - k, 0),
-                            _n(r, s, m, s - k, k, 0),
-                        )
-
-    sweep("swap", "N(r,s;m,k,l,0) = N(r,s;m,l,k,0) when s = k + l", cases_swap())
-
-    # diagonal family (r,2r;r,r,0,r): the printed fourth term 13158776832
-    # must agree with the diagonal reading of the two-index row
-    t1_expected = [6, 560, 714240, 13158776832]
-    t1_actual = [_n(r, 2 * r, r, r, 0, r) for r in range(1, 5)]
-    entries.append(
-        IdentityCheck(
-            "t1-fourth-term",
-            "diagonal family (r,2r;r,r,0,r) reproduces {6, 560, 714240, 13158776832}",
-            t1_actual == t1_expected,
-            True,
-            "" if t1_actual == t1_expected else f"got {t1_actual}",
-        )
-    )
-
-    return IdentityReport(max_alpha, max_beta, tuple(entries))

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import pytest
 
 from z2z8.cli import FAMILIES, family_term, main, parse_affine
 from z2z8.codes import dual_bruteforce, parse_words, span
-from z2z8.counting import TypeProfile, count
+from z2z8 import counting
+from z2z8.counting import TypeProfile, count, valid_profiles
 
 
 def run(capsys, *argv):
@@ -100,6 +102,27 @@ def test_count_json_breakdown_and_dual(capsys):
         "delta": 2,
     }
     assert doc["dual"] == {"profile": [2, 2, 1, 0, 0, 1], "count": "18"}
+
+
+def test_count_breakdown_does_not_divide(capsys, monkeypatch):
+    # --breakdown prints N1..D4 and count()'s value, so count_product, whose
+    # big division is most of its time, is left to the tests as the oracle;
+    # the digest is of the same output taken when --breakdown called it
+    def refuse(profile):
+        raise AssertionError("count --breakdown called count_product")
+
+    monkeypatch.setattr(counting, "count_product", refuse)
+    digest = hashlib.sha256()
+    profiles = [*valid_profiles(2, 2), (1, 2, 2, 0, 0, 0)]  # the last is invalid
+    for p in profiles:
+        flags = [x for name, v in zip(("alpha", "beta", "k0", "k1", "k2", "k3"), p)
+                 for x in (f"--{name}", str(v))]
+        for fmt in ("plain", "json"):
+            code, out = run(capsys, "count", *flags, "--breakdown", "--format", fmt)
+            assert code == 0
+            digest.update(out.encode())
+    assert len(profiles) == 91
+    assert digest.hexdigest() == "bd272a9c85d9487271bb6bb56fcdba5e05a089d134259c626d45e77b1c3f58ab"
 
 
 def test_count_json(capsys):
@@ -283,6 +306,22 @@ def test_check_identities_json(capsys):
     by_key = {e["key"]: e for e in doc["entries"]}
     assert by_key["lemma4-literal"]["passed"] is False
     assert by_key["lemma4-literal"]["ok"] is True
+
+
+def test_check_identities_output_bytes_unchanged(capsys):
+    # sha256 over stdout, plain then JSON, for every box 1..6 x 1..6, taken
+    # before the sweeps moved to z2z8.identities and stopped formatting
+    # every case's label; with --max-alpha 1, lemma4-literal finds no
+    # counterexample, unexpectedly passes, and the command exits 1
+    digest = hashlib.sha256()
+    for a in range(1, 7):
+        for b in range(1, 7):
+            for fmt in ("plain", "json"):
+                code, out = run(capsys, "check-identities", "--max-alpha", str(a),
+                                "--max-beta", str(b), "--format", fmt)
+                assert code == (1 if a == 1 else 0)
+                digest.update(out.encode())
+    assert digest.hexdigest() == "cf5038023a2c4448b12b2edf3f4bd70a3d779c87d610e3d29cf2d70ce09808ce"
 
 
 # ---------------------------------------------------------------------------

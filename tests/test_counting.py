@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from z2z8 import counting
+from z2z8 import counting, identities
 from z2z8.counting import (
     TypeProfile,
     binary_binomial_identity,
@@ -328,7 +328,7 @@ def test_check_identities_counts_each_profile_once(monkeypatch):
     # (r,2r;r,r,0,r), r <= 4, that fall outside it; the sweeps used to count
     # 8,001 times at (5,5)
     calls = []
-    monkeypatch.setattr(counting, "count", lambda p: calls.append(p) or count(p))
+    monkeypatch.setattr(identities, "count", lambda p: calls.append(p) or count(p))
     report = check_identities(5, 5)
     box = sum(1 for _ in valid_profiles(5, 5))
     assert box == 2646
@@ -345,6 +345,34 @@ def test_check_identities_reports_unchanged():
         for b in range(1, 5):
             digest.update(repr(check_identities(a, b)).encode())
     assert digest.hexdigest() == "5c8e6db037a61dd72ff1e2053a0fd196a61b90f405fa7e3aee9a82eaf9b778a9"
+
+
+# (wrong profile, the entries it makes fail, each with the detail the sweeps
+# printed when every label was formatted up front)
+WRONG_COUNT_CASES = {
+    "a": ((2, 3, 2, 0, 3, 0), {
+        "a": "first counterexample (r,s)=(2,3) k2-slot: 2 != 1",
+        "lemma4-corrected": "first counterexample (2,3;2,0,3,0): 2 != 1",
+        "self-dual-criterion": "first counterexample (2,3;0,0,0,3): True != False",
+        "swap": "first counterexample (r,s;m,0,3,0): 2 != 1",
+    }),
+    "b": ((3, 2, 1, 1, 1, 0), {"b": "first counterexample (r,s)=(2,2): 1011 != 1008"}),
+    "g": ((2, 3, 2, 0, 1, 2), {"g": "first counterexample (r,s,k)=(2,3,1) middle: 8 != 7"}),
+    "swap": ((2, 3, 1, 1, 2, 0), {"swap": "first counterexample (r,s;m,1,2,0): 169 != 168"}),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_COUNT_CASES)
+def test_failing_sweep_names_its_first_counterexample(monkeypatch, case):
+    # labels are formatted only for the first counterexample; they must read
+    # as they did when every case formatted its own
+    wrong, details = WRONG_COUNT_CASES[case]
+    monkeypatch.setattr(identities, "count", lambda p: count(p) + (tuple(p) == wrong))
+    report = check_identities(3, 3)
+    for key, detail in details.items():
+        entry = report.entry(key)
+        assert not entry.passed and entry.detail == detail
+    assert not report.success
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The package loads `codes` and `census` on first use, no subcommand loads
-`dataclasses` or `inspect`, and its API is unchanged.
+"""The package loads `codes`, `census` and `identities` on first use, no
+subcommand loads `dataclasses` or `inspect`, and its API is unchanged.
 
 Each case runs in a fresh child interpreter, since this process has already
 imported every module.
@@ -117,6 +117,27 @@ def test_subcommand_runs_only_the_modules_it_uses(case):
     ran, _ = cli_child(case)
     assert {"__init__", "cli", "counting", "qnum", "errors"} <= ran
     assert ran & {"codes", "census"} == SUBCOMMANDS[case][1]
+
+
+@pytest.mark.parametrize("case", SUBCOMMANDS)
+def test_only_check_identities_runs_the_identities_body(case):
+    # the sweeps are about a third of counting's old source, compiled on
+    # every cold start when no bytecode cache is written
+    ran, _ = cli_child(case)
+    assert ("identities" in ran) == case.startswith("check-identities")
+
+
+def test_identity_names_are_one_object_on_every_path():
+    identities = sys.modules["z2z8.identities"]
+    from z2z8 import counting
+    from z2z8.counting import IdentityCheck, check_identities
+
+    assert check_identities is counting.check_identities is z2z8.check_identities
+    assert check_identities is identities.check_identities is z2z8.identities.check_identities
+    assert z2z8.IdentityReport is counting.IdentityReport is identities.IdentityReport
+    assert IdentityCheck is identities.IdentityCheck
+    with pytest.raises(AttributeError):
+        counting.no_such_name
 
 
 @pytest.mark.parametrize("case", SUBCOMMANDS)
