@@ -31,7 +31,7 @@ sizes.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, product
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from . import codes, counting
@@ -317,19 +317,12 @@ def census(alpha: int, beta: int, e: int = 3) -> TypeCensus:
 def formula_census(alpha: int, beta: int, e: int = 3) -> TypeCensus:
     """Census predicted by the counting formulas, one entry per valid profile.
 
-    A type (k0; k_1..k_e) is counted as the Z8 type with 3 - e leading zero
-    modular slots: over Z_{2^e} there are no generators of the higher orders.
     The ring exponent and dimensions are checked as `census` checks them.
     """
     codes._Ambient(alpha, beta, e)  # raises ValueError as census does; builds no words
-    counts: dict[tuple[int, ...], int] = {}
-    for k0 in range(alpha + 1):
-        for ks in product(range(beta + 1), repeat=e):
-            if sum(ks) <= beta:
-                profile = counting.TypeProfile(alpha, beta, k0, *(0,) * (3 - e), *ks)
-                counts[(k0, *ks)] = counting.count(profile)
-    total = sum(counts.values())
-    return TypeCensus(alpha, beta, e, dict(sorted(counts.items())), total, "formula")
+    counts = {ks: counting.count(counting._z8_slots(alpha, beta, ks))
+              for ks in counting._valid_ks(alpha, beta, e)}
+    return TypeCensus(alpha, beta, e, counts, sum(counts.values()), "formula")
 
 
 class VerifyRow(NamedTuple):

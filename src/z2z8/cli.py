@@ -80,10 +80,6 @@ def _json(doc, indent: int | None = 2) -> str:
     return json.dumps(doc, indent=indent) + "\n"
 
 
-def _profile_str(ks: Sequence[int], alpha: int, beta: int) -> str:
-    return f"({alpha},{beta};{','.join(str(k) for k in ks)})"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="z2z8",
@@ -237,7 +233,7 @@ def cmd_verify(args) -> tuple[int, str]:
     for r in report.rows:
         tag = "ok" if r.match else "MISMATCH"
         lines.append(
-            f"profile {_profile_str(r.profile, report.alpha, report.beta)}: "
+            f"profile {counting._type_str(report.alpha, report.beta, r.profile)}: "
             f"enumeration {r.enumerated} formula {r.formula} {tag}"
         )
     lines.append(f"total subgroups: {report.total_enumerated} (formula {report.total_formula})")

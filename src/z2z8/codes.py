@@ -21,7 +21,7 @@ from itertools import accumulate, product
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .counting import TypeProfile
+from .counting import TypeProfile, _type_str
 from .errors import AmbientTooLargeError, NotASubgroupError
 
 __all__ = [
@@ -387,7 +387,7 @@ def _validate_ks(alpha: int, beta: int, ks: tuple[int, ...], e: int) -> None:
     if any(k < 0 for k in ks) or alpha < 0 or beta < 0:
         raise ValueError(f"negative dimensions in ({alpha},{beta};{ks})")
     if ks[0] > alpha or sum(ks[1:]) > beta:
-        raise ValueError(f"profile ({alpha},{beta};{','.join(map(str, ks))}) is not realizable")
+        raise ValueError(f"profile {_type_str(alpha, beta, ks)} is not realizable")
 
 
 class _StandardFormFields(NamedTuple):
@@ -524,9 +524,8 @@ def parity_check(matrix: StandardFormMatrix) -> ParityCheckMatrix:
       -sum_s 2^(e-s) S_s^T W_(s-1) cancels the binary part S_s of row stripe s;
     - for each stripe j = e, ..., 1, the rows 2^(e-j) W_j, with -T0e^T on the
       binary part of stripe e.
-    The row stripes have sizes (alpha-k0, beta-l, k_e, ..., k_2), where
-    l = k_1 + ... + k_e.  Entries are reduced mod 2 on binary columns and
-    mod 2^e on the others.
+    The row stripes have the sizes `counting._dual_ks` gives.  Entries are
+    reduced mod 2 on binary columns and mod 2^e on the others.
     """
     alpha, beta, e, ks, blocks = matrix.alpha, matrix.beta, matrix.e, matrix.ks, matrix.blocks
     mod, r0 = 1 << e, alpha - ks[0]

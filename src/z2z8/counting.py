@@ -14,8 +14,11 @@ tests compare against, with the q-kernel in `qnum`.
 
 Specializations cover linear codes over Z8, additive codes over Z2 x Z4,
 and the classical 2-binomial coefficients, plus the duality arithmetic
-relating a type to the type of its dual code.  The sweeps of the known
-identities among these numbers (`check_identities` and its records) live in
+relating a type to the type of its dual code.  One private helper holds each
+rule on a type (alpha, beta, ks), ks = (k0, k_1..k_e), for both rings:
+`_valid_ks` lists the realizable ks, `_z8_slots` embeds a type in the Z8
+slots the formulas count, `_dual_ks` is the dual's slot rule and `_type_str`
+prints it.  The identity sweeps (`check_identities` and its records) live in
 `z2z8.identities`, which loads on first use; they stay importable from here.
 """
 
@@ -84,10 +87,13 @@ class TypeProfile(_TypeProfileFields):
     __slots__ = ()
 
     def __new__(cls, alpha: int, beta: int, k0: int, k1: int, k2: int, k3: int) -> TypeProfile:
-        self = super().__new__(cls, alpha, beta, k0, k1, k2, k3)
-        for name, v in zip(cls._fields, self):
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
+        self = tuple.__new__(cls, (alpha, beta, k0, k1, k2, k3))
+        # six plain ints pass in one test; the loop names a bad field and lets bool through
+        if not (type(alpha) is type(beta) is type(k0) is type(k1) is type(k2) is type(k3) is int
+                and alpha | beta | k0 | k1 | k2 | k3 >= 0):
+            for name, v in zip(cls._fields, self):
+                if not isinstance(v, int) or v < 0:
+                    raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
         return self
 
     @classmethod
@@ -101,14 +107,39 @@ class TypeProfile(_TypeProfileFields):
 
     @property
     def ks(self) -> tuple[int, int, int, int]:
-        return (self.k0, self.k1, self.k2, self.k3)
+        return self[2:]
 
     def is_valid(self) -> bool:
         """A profile is realizable iff k0 <= alpha and k1+k2+k3 <= beta."""
         return self.k0 <= self.alpha and self.l <= self.beta
 
     def __str__(self) -> str:
-        return f"({self.alpha},{self.beta};{self.k0},{self.k1},{self.k2},{self.k3})"
+        return _type_str(self.alpha, self.beta, self.ks)
+
+
+def _valid_ks(alpha: int, beta: int, e: int) -> Iterator[tuple[int, ...]]:
+    """Every realizable ks = (k0, k_1..k_e) over Z2^alpha x Z_{2^e}^beta, in
+    lexicographic order: k0 <= alpha and k_1 + ... + k_e <= beta."""
+    tails = [()]
+    for _ in range(e):
+        tails = [t + (k,) for t in tails for k in range(beta - sum(t) + 1)]
+    return ((k0, *t) for k0 in range(alpha + 1) for t in tails)
+
+
+def _z8_slots(alpha: int, beta: int, ks: tuple[int, ...]) -> TypeProfile:
+    """The Z8 type that counts type ks; a Z2Z4 type has no order-8 generators, so k1 = 0."""
+    if len(ks) == 3:
+        ks = (ks[0], 0, *ks[1:])
+    return TypeProfile(alpha, beta, *ks)
+
+
+def _dual_ks(alpha: int, beta: int, ks: tuple[int, ...]) -> tuple[int, ...]:
+    """(alpha-k0, beta-l, k_e..k_2): over Z4 every dual's type, over Z8 true of counts only."""
+    return (alpha - ks[0], beta - sum(ks[1:]), *ks[:1:-1])
+
+
+def _type_str(alpha: int, beta: int, ks: tuple[int, ...]) -> str:
+    return f"({alpha},{beta};{','.join(map(str, ks))})"
 
 
 class CountBreakdown(NamedTuple):
@@ -268,7 +299,7 @@ def _mersenne_exponents(top: int, runs) -> list[int]:
     return list(accumulate(c[: top + 1]))
 
 
-def _gaussian_form(two: int, alpha: int, k0: int, beta: int, parts: tuple[int, ...]) -> tuple[int, list[int]]:
+def _gaussian_form(two: int, alpha: int, beta: int, k0: int, *parts: int) -> tuple[int, list[int]]:
     """2^two * [alpha; k0]_2 * [beta; parts]_2.
 
     [n; k1, k2, ...]_2 is the telescoping product [n; k1]_2 [n-k1; k2]_2 ...,
@@ -284,8 +315,7 @@ def _gaussian_form(two: int, alpha: int, k0: int, beta: int, parts: tuple[int, .
 
 def _closed_form(profile: TypeProfile) -> tuple[int, list[int]]:
     """2^delta * [alpha; k0]_2 * [beta; k1,k2,k3]_2 (valid profiles)."""
-    p = profile
-    return _gaussian_form(_deltas(p)[0], p.alpha, p.k0, p.beta, (p.k1, p.k2, p.k3))
+    return _gaussian_form(_deltas(profile)[0], *profile)
 
 
 def _product_form(profile: TypeProfile) -> tuple[int, list[int]]:
@@ -378,12 +408,8 @@ def count_z8(n: int, k1: int, k2: int, k3: int) -> int:
 
 
 def count_z2z4(alpha: int, beta: int, k0: int, k1: int, k2: int) -> int:
-    """Number of distinct additive codes of type (alpha,beta;k0,k1,k2) over Z2 x Z4.
-
-    A Z2Z4 code of that type is a code in Z2^alpha x Z8^beta with no order-8
-    generators, so the order-4 and order-2 counts land in the k2 and k3 slots.
-    """
-    return count(TypeProfile(alpha, beta, k0, 0, k1, k2))
+    """Number of distinct additive codes of type (alpha,beta;k0,k1,k2) over Z2 x Z4; see `_z8_slots`."""
+    return count(_z8_slots(alpha, beta, (k0, k1, k2)))
 
 
 def binary_binomial_identity(n: int, k: int) -> int:
@@ -398,26 +424,18 @@ def binary_binomial_identity(n: int, k: int) -> int:
 def dual_type(profile: TypeProfile) -> TypeProfile:
     """Type of the dual code: (alpha, beta; alpha-k0, beta-l, k3, k2)."""
     _require_valid(profile)
-    return TypeProfile(
-        profile.alpha,
-        profile.beta,
-        profile.alpha - profile.k0,
-        profile.beta - profile.l,
-        profile.k3,
-        profile.k2,
-    )
+    return TypeProfile(profile.alpha, profile.beta, *_dual_ks(profile.alpha, profile.beta, profile.ks))
 
 
 def count_dual(profile: TypeProfile) -> int:
     """Number of codes whose type is the dual of the given one.
 
-    Evaluated directly as 2^delta_bar * [alpha; alpha-k0]_2 *
-    [beta; beta-l, k3, k2]_2, through the same factored evaluation as the
-    closed form; it agrees with count(dual_type(profile)).
+    Evaluated directly as 2^delta_bar times the Gaussian binomials of the
+    dual's slots, as the closed form is; it agrees with count(dual_type(profile)).
     """
     _require_valid(profile)
     p = profile
-    return _evaluate(*_gaussian_form(_deltas(p)[1], p.alpha, p.alpha - p.k0, p.beta, (p.beta - p.l, p.k3, p.k2)))
+    return _evaluate(*_gaussian_form(_deltas(p)[1], p.alpha, p.beta, *_dual_ks(p.alpha, p.beta, p.ks)))
 
 
 def self_dual_count_condition(profile: TypeProfile) -> bool:
@@ -439,8 +457,5 @@ def valid_profiles(max_alpha: int, max_beta: int) -> Iterator[TypeProfile]:
     """All valid profiles with alpha <= max_alpha and beta <= max_beta."""
     for a in range(max_alpha + 1):
         for b in range(max_beta + 1):
-            for k0 in range(a + 1):
-                for k1 in range(b + 1):
-                    for k2 in range(b - k1 + 1):
-                        for k3 in range(b - k1 - k2 + 1):
-                            yield TypeProfile(a, b, k0, k1, k2, k3)
+            for ks in _valid_ks(a, b, 3):
+                yield TypeProfile(a, b, *ks)

@@ -1,5 +1,6 @@
 """Tests for exhaustive subgroup enumeration and formula verification."""
 
+import hashlib
 import importlib
 import json
 import time
@@ -296,6 +297,17 @@ def test_formula_census_mirrors_enumeration():
     assert predicted.provenance == "formula"
     assert predicted.counts == enumerated.counts
     assert predicted.total_subgroups == enumerated.total_subgroups == 140
+
+
+def test_formula_census_output_unchanged():
+    # sha256 over census_to_json for alpha, beta = 0..6 and both rings, taken
+    # before the Z2Z4 types went through counting._valid_ks and _z8_slots
+    digest = hashlib.sha256()
+    for e in (2, 3):
+        for alpha in range(7):
+            for beta in range(7):
+                digest.update(census_to_json(formula_census(alpha, beta, e)).encode())
+    assert digest.hexdigest() == "cfe5c9f4073d02cfa3708c9fc0a82b4b4e93928c212ca3f09d9cfb592ded3d9d"
 
 
 # ---------------------------------------------------------------------------

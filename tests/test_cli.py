@@ -271,6 +271,19 @@ def test_verify_json(capsys):
     assert doc["total_enumerated"] == "8"
 
 
+def test_verify_output_unchanged(capsys):
+    # sha256 over stdout and exit code, plain then JSON, taken before the
+    # profile text came from counting._type_str
+    digest = hashlib.sha256()
+    for alpha, beta, e in [(1, 1, 3), (2, 1, 2), (1, 2, 2), (0, 2, 3), (2, 2, 2)]:
+        for fmt in ("plain", "json"):
+            code, out = run(capsys, "verify", "--alpha", str(alpha), "--beta", str(beta),
+                            "--e", str(e), "--format", fmt)
+            digest.update(out.encode())
+            digest.update(str(code).encode())
+    assert digest.hexdigest() == "8decb21e83f4fd4179152ce27f006d299b1d4d8e8aa3d975aa22a96b8bdb6876"
+
+
 def test_verify_guard_refuses_huge_ambient_at_once(capsys):
     assert main(["verify", "--alpha", "40", "--beta", "0"]) == 3
     assert capsys.readouterr().err.startswith("resource guard: ")

@@ -26,7 +26,7 @@ from z2z8.codes import (
     zero_standard_form,
     zero_standard_form_z4,
 )
-from z2z8.counting import TypeProfile, dual_type, valid_profiles
+from z2z8.counting import TypeProfile, _dual_ks, dual_type, valid_profiles
 from z2z8.errors import AmbientTooLargeError, NotASubgroupError
 
 
@@ -348,6 +348,32 @@ def test_dual_type_formula_is_not_pointwise():
     d0, d1 = dual_bruteforce(zero), dual_bruteforce(seeded)
     assert classify_type(d0) == TypeProfile(2, 2, 1, 0, 0, 1)  # Klein four-group
     assert classify_type(d1) == TypeProfile(2, 2, 0, 0, 1, 0)  # cyclic of order 4
+
+
+Z2Z4_DUAL_AMBIENTS = [(a, b) for b in range(1, 4) for a in range(8 - 2 * b)]  # alpha + 2 beta <= 7
+
+
+@pytest.mark.parametrize("alpha,beta", Z2Z4_DUAL_AMBIENTS)
+def test_z2z4_dual_type_is_the_slot_rule_pointwise(alpha, beta):
+    # over Z4 the type alone fixes the dual's type: (alpha-k0, beta-k1-k2, k2)
+    # holds on every subgroup, unlike the Z8 rule below
+    from z2z8.census import enumerate_subgroups, formula_census
+
+    seen = 0
+    for c in enumerate_subgroups(alpha, beta, 2):
+        assert classify_type(dual_bruteforce(c)) == _dual_ks(alpha, beta, classify_type(c))
+        seen += 1
+    assert seen == formula_census(alpha, beta, 2).total_subgroups
+
+
+def test_z8_dual_slot_rule_fails_pointwise_at_1_1_3():
+    # the same rule over Z8 is refuted, so acceptance criterion 4 keeps failing
+    from z2z8.census import enumerate_subgroups
+
+    bad = [c for c in enumerate_subgroups(1, 1, 3)
+           if classify_type(dual_bruteforce(c)).ks != _dual_ks(1, 1, classify_type(c).ks)]
+    assert bad
+    assert span([W([1], [2])]) in bad  # the self-dual <(1|2)>
 
 
 def test_dual_bruteforce_guard():

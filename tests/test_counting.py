@@ -238,6 +238,33 @@ def test_count_dual_values():
     assert count_dual(TypeProfile(3, 3, 3, 3, 0, 0)) == 1
 
 
+def test_z2z4_dual_slots_keep_the_count_and_are_an_involution():
+    # over Z4 the slot rule (alpha-k0, beta-k1-k2, k2) is the type of every
+    # code's dual (tests/test_codes.py), so each type and its image must be
+    # equinumerous; the Z8 rule has no such law (self_dual_count_condition)
+    types = [(a, b, ks) for a in range(9) for b in range(9) for ks in counting._valid_ks(a, b, 2)]
+    assert len(types) == 7425
+    for a, b, ks in types:
+        dual = counting._dual_ks(a, b, ks)
+        assert counting._dual_ks(a, b, dual) == ks
+        assert count_z2z4(a, b, *ks) == count_z2z4(a, b, *dual), (a, b, ks)
+
+
+def test_valid_profiles_is_the_six_nested_loops():
+    def nested(max_alpha, max_beta):
+        for a in range(max_alpha + 1):
+            for b in range(max_beta + 1):
+                for k0 in range(a + 1):
+                    for k1 in range(b + 1):
+                        for k2 in range(b - k1 + 1):
+                            for k3 in range(b - k1 - k2 + 1):
+                                yield TypeProfile(a, b, k0, k1, k2, k3)
+
+    profiles = list(valid_profiles(6, 6))
+    assert profiles == list(nested(6, 6))
+    assert all(type(p) is TypeProfile for p in profiles)
+
+
 def test_self_dual_condition():
     assert not self_dual_count_condition(TypeProfile(2, 2, 1, 1, 1, 0))
     assert N(2, 2, 1, 1, 1, 0) != count_dual(TypeProfile(2, 2, 1, 1, 1, 0))

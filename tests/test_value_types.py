@@ -79,6 +79,7 @@ def test_type_profile_orders_field_by_field():
     ((1, "2", 0, 0, 0, 0), "beta must be a non-negative integer, got '2'"),
     ((1, 1, 0, 0, 0, 1.0), "k3 must be a non-negative integer, got 1.0"),
     ((1, 1, -2, None, 0, 0), "k0 must be a non-negative integer, got -2"),
+    ((True, 1, 0, 0, 0, -1), "k3 must be a non-negative integer, got -1"),
 ])
 def test_type_profile_validation_messages(slots, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -86,6 +87,12 @@ def test_type_profile_validation_messages(slots, message):
     names = ("alpha", "beta", "k0", "k1", "k2", "k3")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         TypeProfile(**dict(zip(names, slots)))
+
+
+def test_type_profile_accepts_bool_fields():
+    # bool is an int subclass: it misses the six-plain-ints test and passes the per-field loop
+    p = TypeProfile(True, 1, False, 0, 0, True)
+    assert p == TypeProfile(1, 1, 0, 0, 0, 1) and p.alpha is True
 
 
 def test_count_breakdown_and_delta_exponents_contract():
