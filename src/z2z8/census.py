@@ -21,11 +21,9 @@ subgroups, nearly all of them, come straight from their parents'
 `_children`, with no coset words, and `census` sizes them without building
 them.  The levels are chained generators, so a walk holds one subgroup per
 coordinate.  It runs on the packed words of `codes`, and no subgroup is
-decoded.  The older walk by index-2 covers stays as the test reference,
-`_subgroup_sets_by_covers`; the scan of P for the cosets of K,
-`_coset_scan`, is the reference for the carried coset words, and
-`codes._torsion_signature` the word-counting reference for the carried
-sizes.
+decoded.  `codes._torsion_signature` is the word-counting reference for the
+carried sizes; the tests keep the other references, the older walk by
+index-2 covers and a scan of P for the cosets of K.
 """
 
 from __future__ import annotations
@@ -64,26 +62,6 @@ def check_ambient_size(alpha: int, beta: int, e: int) -> None:
         )
 
 
-def _coset_scan(ambient: codes._Ambient, i: int, sub: frozenset[int]) -> list[int]:
-    """Test reference for the carried coset words: the first word of each
-    coset of `sub` in P, in P's order, found by a scan of the whole of P,
-    which the walk never builds.
-
-    0 comes first, for `sub` itself; each word of P not yet covered is the
-    first of its coset, and its coset is then covered.  P, the group on the
-    first i coordinates, is packed and ordered as `codes._Ambient.elements`
-    gives it.
-    """
-    mask = ambient.mask
-    prefix = codes._Ambient(min(i, ambient.alpha), max(0, i - ambient.alpha), ambient.e)
-    words, covered = [0], set(sub)
-    for v in prefix.elements():
-        if v not in covered:
-            covered.update([(w + v) & mask for w in sub])
-            words.append(v)
-    return words
-
-
 def _carry(ambient: codes._Ambient, i: int, reps: list[int]) -> list[list[int]]:
     """The coset words in P x Z_m of the subgroups M of P x Z_m whose part K
     in P has the coset words `reps`, by the order 2^b of M's image in
@@ -94,7 +72,7 @@ def _carry(ambient: codes._Ambient, i: int, reps: list[int]) -> list[list[int]]:
     2^a Z_m) and then u - u' lies in M's part K, so u = u'; and there are
     |P x Z_m| / |M| = 2^a |P| / |K| of them.  With d outer and u inner, the
     words come in the order of the group on coordinates 0..i, each the first
-    of its coset in that order, as `_coset_scan` finds them.
+    of its coset in that order, as a scan of that group finds them.
     """
     m = ambient.moduli[i]
     words = [u | d << (4 * i) for d in range(m) for u in reps]
@@ -245,33 +223,6 @@ def _signature(sizes: tuple[int, ...]) -> tuple[int, ...]:
     *s, z = sizes
     killed = [1] + [1 << t for t in s]
     return (1, *(b - a for a, b in zip(killed, killed[1:])), 1 << z)
-
-
-def _subgroup_sets_by_covers(ambient: codes._Ambient) -> list[frozenset[int]]:
-    """Test reference for `_subgroup_stream`: the lattice walked layer by
-    layer, ordered as `enumerate_subgroups` orders it.
-
-    A maximal subgroup S of a finite abelian 2-group T has index 2, so
-    T = S | (S + g) for any g in T outside S, and 2g is in S.  Layer n+1 is
-    the set of these covers of layer n.  Each subgroup is built once per
-    maximal subgroup and every S scans the whole ambient, so nothing but the
-    tests calls this.
-    """
-    mask, elements = ambient.mask, ambient.elements()
-    layer = [frozenset([0])]
-    ordered: list[frozenset[int]] = []
-    while layer:
-        ordered += layer
-        covers = set()
-        for sub in layer:
-            covered = set(sub)
-            for g in elements:
-                if g not in covered and (g + g) & mask in sub:
-                    coset = [(w + g) & mask for w in sub]
-                    covered.update(coset)
-                    covers.add(sub.union(coset))
-        layer = sorted(covers, key=sorted)
-    return ordered
 
 
 def enumerate_subgroups(alpha: int, beta: int, e: int = 3) -> list[Code]:

@@ -25,7 +25,8 @@ prints it.  The identity sweeps (`check_identities` and its records) live in
 from __future__ import annotations
 
 import functools
-from itertools import accumulate
+from itertools import accumulate, compress
+from math import isqrt
 from typing import Iterator, NamedTuple
 
 from .errors import SelfCheckError
@@ -288,6 +289,18 @@ def _agreed_form(profile: TypeProfile) -> tuple[int, list[int]]:
 # sum(c[d::d]), so a run adds sign * (hi//d - lo//d) to it; and c is fixed
 # by those exponents (Moebius inversion), so two formulas have the same
 # exponents of 2 and of every Phi_d(2) exactly when their (two, c) are equal.
+#
+# `_evaluate` reads the exponents off c by one of two routes, whichever
+# takes fewer Python steps on the input:
+# - by slices: sum(c[d::d]) for d <= top/2, and c[d] itself for larger d,
+#   whose only multiple in range is d; about top/2 steps;
+# - by divisors: each non-zero c[j] added to the divisors of j, found by trial
+#   division; about isqrt(top) steps per non-zero c[j].
+# A Gaussian binomial [n; k]_2 with k or n - k small leaves few non-zero c[j]
+# however large n is, and then the second route costs far less.  It runs when
+# (non-zero c[j]) * isqrt(top) < top//2.  The leaves Phi_d(2)^e are then
+# multiplied in d order by one flat loop of pairwise products, level by
+# level, so that most products are of numbers of about equal size.
 
 
 def _mersenne_exponents(top: int, runs) -> list[int]:
@@ -370,25 +383,46 @@ def _phi2(d: int) -> int:
 
 
 def _evaluate(two: int, c: list[int]) -> int:
-    """2^two times the product over d of Phi_d(2)^e, e = sum(c[d::d])."""
-    factors = []
-    for d in range(1, len(c)):
-        e = sum(c[d::d])
+    """2^two times the product over d of Phi_d(2)^e, e = sum(c[d::d]); the
+    exponents by slices or by divisors, whichever costs fewer steps here."""
+    top = len(c) - 1
+    half = top // 2
+    # with a non-zero c[j], the divisors need isqrt(top) < top//2, which
+    # first holds at top = 6: a shorter c takes the slices uncounted
+    if half > 2 and (len(c) - c.count(0)) * isqrt(top) < half:
+        exponents = _divisor_exponents(c)
+    else:
+        sums = c[:]  # sum(c[d::d]) is c[d] for d > top/2
+        for d in range(1, half + 1):
+            sums[d] = sum(c[d::d])
+        exponents = compress(enumerate(sums), sums)
+    leaves = []
+    for d, e in exponents:
         if e < 0:
             raise SelfCheckError(f"Phi_{d}(2) has exponent {e}: the quotient is not a polynomial in 2")
-        if e and d > 1:
-            factors.append(_phi2(d) ** e)
+        if d > 1:
+            leaves.append(_phi2(d) ** e)
     if two < 0:
         raise SelfCheckError(f"the power of two has exponent {two}")
-    return _product_tree(factors) << two
+    n, step = len(leaves), 1
+    while step < n:  # leaves[i] becomes the product of leaves[i : i + 2 * step]
+        for i in range(0, n - step, 2 * step):
+            leaves[i] *= leaves[i + step]
+        step *= 2
+    return (leaves[0] if leaves else 1) << two
 
 
-def _product_tree(xs: list[int]) -> int:
-    """Product of xs, split into halves so that most products are of equal-size numbers."""
-    if len(xs) < 2:
-        return xs[0] if xs else 1
-    half = len(xs) // 2
-    return _product_tree(xs[:half]) * _product_tree(xs[half:])
+def _divisor_exponents(c: list[int]) -> list[tuple[int, int]]:
+    """(d, sum(c[d::d])) for each d with a non-zero sum, in increasing d: each
+    non-zero c[j] is added to the divisors of j, found by trial division."""
+    e: dict[int, int] = {}
+    for j in compress(range(len(c)), c):  # no (j, c[j]) pair for each zero
+        for d in range(1, isqrt(j) + 1):
+            if not j % d:
+                e[d] = e.get(d, 0) + c[j]
+                if d * d < j:
+                    e[j // d] = e.get(j // d, 0) + c[j]
+    return sorted(item for item in e.items() if item[1])
 
 
 def count_z8(n: int, k1: int, k2: int, k3: int) -> int:

@@ -9,11 +9,10 @@ from collections import Counter
 
 import pytest
 
+from reference import coset_scan, subgroup_sets_by_covers
 from z2z8.census import (
-    _coset_scan,
     _signature,
     _sized_stream,
-    _subgroup_sets_by_covers,
     _subgroup_stream,
     _walk,
     census,
@@ -80,7 +79,7 @@ COVER_WALK_AMBIENTS = [
 def test_coordinate_walk_matches_cover_walk(alpha, beta, e):
     # the same packed subgroups, in the same order, as the lattice walk by covers
     subs = enumerate_subgroups(alpha, beta, e)
-    assert [c._packed for c in subs] == _subgroup_sets_by_covers(_Ambient(alpha, beta, e))
+    assert [c._packed for c in subs] == subgroup_sets_by_covers(_Ambient(alpha, beta, e))
 
 
 @pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
@@ -104,19 +103,19 @@ def test_carried_coset_words_are_the_coset_scans(alpha, beta, e):
     walked = 0
     for (sub, _), reps in _walk(ambient, n):
         assert reps[0] == 0 and len(reps) == 2 ** ambient.bits // len(sub)
-        assert reps == _coset_scan(ambient, n, sub)
+        assert reps == coset_scan(ambient, n, sub)
         walked += 1
     assert walked == census(alpha, beta, e).total_subgroups
 
 
 def test_walk_builds_no_prefix_group(monkeypatch):
     # the walk carries its coset words: neither the ambient's words nor the
-    # scan of a prefix group is ever needed
+    # scan of a prefix group is ever needed (any such scan, `coset_scan`'s
+    # among them, lists the group by `_Ambient.elements`)
     def refuse(*args):
         raise AssertionError("the walk built a group of words")
 
     monkeypatch.setattr(_Ambient, "elements", refuse)
-    monkeypatch.setattr(importlib.import_module("z2z8.census"), "_coset_scan", refuse)
     assert census(3, 2, 3).total_subgroups == 4162
     assert len(enumerate_subgroups(2, 2, 3)) == 671
 

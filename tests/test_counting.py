@@ -1,6 +1,7 @@
 """Tests for the type-counting formulas and their identities."""
 
 import hashlib
+import random
 import time
 
 import pytest
@@ -168,6 +169,74 @@ def test_negative_cyclotomic_exponent_raises(monkeypatch):
     monkeypatch.setattr(counting, "_product_form", lambda profile: not_integral)
     with pytest.raises(SelfCheckError, match="exponent -1"):
         count(TypeProfile(4, 4, 1, 1, 1, 1))
+
+
+def test_negative_cyclotomic_exponent_raises_on_the_divisor_route(monkeypatch):
+    # the same quotient in a c of 1,001 entries, two of them non-zero: the
+    # exponents come from the divisors of 2 and 3, and Phi_3(2) gets -1
+    not_integral = (0, [0, 0, 1, -1] + [0] * 997)
+    divisor_route, routed = counting._divisor_exponents, []
+    monkeypatch.setattr(counting, "_divisor_exponents", lambda c: routed.append(c) or divisor_route(c))
+    monkeypatch.setattr(counting, "_closed_form", lambda profile: not_integral)
+    monkeypatch.setattr(counting, "_product_form", lambda profile: not_integral)
+    with pytest.raises(SelfCheckError, match="exponent -1"):
+        count(TypeProfile(4, 4, 1, 1, 1, 1))
+    assert routed == [not_integral[1]]
+
+
+def naive_evaluate(two, c):
+    """(product over d >= 2 of Phi_d(2)^sum(c[d::d])) << two, one factor at a time."""
+    value = 1
+    for d in range(2, len(c)):
+        value *= counting._phi2(d) ** sum(c[d::d])
+    return value << two
+
+
+def small_profile(rng):
+    alpha, beta = rng.randint(0, 40), rng.randint(0, 40)
+    k1 = rng.randint(0, beta)
+    k2 = rng.randint(0, beta - k1)
+    return TypeProfile(alpha, beta, rng.randint(0, alpha), k1, k2, rng.randint(0, beta - k1 - k2))
+
+
+def sparse_profile(rng):
+    """alpha, beta up to 3000 and each k in {0, 1, 2} or within 2 of its
+    bound: every Gaussian binomial is [n; k]_2 with k or n - k at most 2."""
+    def near(bound):
+        return rng.choice([k for k in (0, 1, 2, bound - 2, bound - 1, bound) if 0 <= k <= bound])
+
+    alpha, beta = rng.randint(0, 3000), rng.randint(0, 3000)
+    k1 = near(beta)
+    k2 = near(beta - k1)
+    return TypeProfile(alpha, beta, near(alpha), k1, k2, near(beta - k1 - k2))
+
+
+def test_evaluate_is_the_naive_product_on_both_routes(monkeypatch):
+    # small profiles mostly take the exponents by slices, large sparse ones by
+    # divisors; either way the count is the product of every Phi_d(2)^e
+    divisor_route, routed = counting._divisor_exponents, []
+    monkeypatch.setattr(counting, "_divisor_exponents", lambda c: routed.append(c) or divisor_route(c))
+    rng = random.Random(2013)
+    by_divisors = []
+    for draw in (small_profile, sparse_profile):
+        routed.clear()
+        for _ in range(150):
+            p = draw(rng)
+            form = counting._agreed_form(p)
+            assert counting._evaluate(*form) == naive_evaluate(*form), p
+        by_divisors.append(len(routed))
+    assert by_divisors[0] < 20 and by_divisors[1] == 150, by_divisors
+
+
+def test_divisor_route_is_the_slice_sums():
+    # random sparse c, with negative entries and exponents that cancel to 0
+    rng = random.Random(17)
+    for _ in range(300):
+        c = [0] * rng.randint(2, 400)
+        for _ in range(rng.randint(0, 6)):
+            c[rng.randrange(1, len(c))] += rng.choice((-2, -1, 1, 2))
+        sums = [(d, sum(c[d::d])) for d in range(1, len(c))]
+        assert counting._divisor_exponents(c) == [(d, e) for d, e in sums if e], c
 
 
 def test_count_needs_no_table_up_to_beta():

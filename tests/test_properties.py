@@ -211,10 +211,37 @@ def profiles(draw, max_size=60):
     return TypeProfile(alpha, beta, k0, k1, k2, k3)
 
 
+@st.composite
+def sparse_profiles(draw, max_size=3000):
+    """Valid type profiles with alpha, beta <= max_size and each k in
+    {0, 1, 2} or within 2 of its bound: every Gaussian binomial is [n; k]_2
+    with k or n - k at most 2, so `count` reads its exponents by divisors."""
+    def near(bound):
+        return draw(st.sampled_from([k for k in (0, 1, 2, bound - 2, bound - 1, bound) if 0 <= k <= bound]))
+
+    alpha, beta = draw(st.integers(0, max_size)), draw(st.integers(0, max_size))
+    k1 = near(beta)
+    k2 = near(beta - k1)
+    return TypeProfile(alpha, beta, near(alpha), k1, k2, near(beta - k1 - k2))
+
+
+def closed_form_by_q_kernel(p):
+    return (2 ** delta_exponents(p).delta * q_binomial(p.alpha, p.k0, 2)
+            * q_multinomial(p.beta, [p.k1, p.k2, p.k3], 2))
+
+
 @few
 @given(profiles())
 def test_factored_count_matches_the_integer_formulas(p):
-    closed = (2 ** delta_exponents(p).delta * q_binomial(p.alpha, p.k0, 2)
-              * q_multinomial(p.beta, [p.k1, p.k2, p.k3], 2))
+    closed = closed_form_by_q_kernel(p)
     assert count(p) == count_product(p).total == closed
+    assert count_dual(p) == count(dual_type(p))
+
+
+@few
+@given(sparse_profiles())
+def test_factored_count_matches_the_q_kernel_on_large_sparse_profiles(p):
+    # count_product would multiply out thousands of factors here: the
+    # q-kernel, which needs at most two per Gaussian binomial, is the check
+    assert count(p) == closed_form_by_q_kernel(p)
     assert count_dual(p) == count(dual_type(p))
