@@ -1,9 +1,10 @@
 """Ground-truth engine: exhaustive subgroup enumeration and type census.
 
 Every subgroup of Z2^alpha x Z_{2^e}^beta (desk scale only) is reached by
-a walk over the coordinates and tallied by its torsion signature; each
-distinct signature is then typed once, by the steps of `codes.classify_type`,
-into a census that `verify_formula` compares with the formulas type by type.
+a walk over the coordinates that carries its torsion sizes (s_1, ..., s_e, z);
+`census` tallies the sizes and types each distinct sizes tuple once, by
+`codes._type_from_sizes`, into a census that `verify_formula` compares with
+the formulas type by type.
 
 The walk adds one coordinate at a time, the column-by-column construction
 behind echelon and Howell forms over Z_{2^e}.  A subgroup M of P x Z_m, P the
@@ -15,15 +16,17 @@ are K's with each new coordinate value below the index of M's image (see
 `_carry`), so the cosets of K come one step each and no group of words, P
 or the ambient, is ever built or scanned.  It carries each subgroup's
 torsion sizes too: M's follow from K's and a few lookups in tables built
-once per K, so no word of M is counted.  There is one walk, `_walk`, and
-both streams run it up to the last coordinate only: the last coordinate's
-subgroups, nearly all of them, come straight from their parents'
-`_children`, with no coset words, and `census` sizes them without building
-them.  The levels are chained generators, so a walk holds one subgroup per
-coordinate.  It runs on the packed words of `codes`, and no subgroup is
-decoded.  `codes._torsion_signature` is the word-counting reference for the
-carried sizes; the tests keep the other references, the older walk by
-index-2 covers and a scan of P for the cosets of K.
+once per K, so no word of M is counted.  There is one walk, `_walk`:
+`enumerate_subgroups` runs it over every coordinate, and `_sized_stream`,
+the census's one shortcut, runs it up to the last coordinate only and sizes
+the last coordinate's subgroups, nearly all of them, straight from their
+parents' `_children`, building neither them nor their coset words.  The
+levels are chained generators, so a walk holds one subgroup per coordinate.
+It runs on the packed words of `codes`, placing values in a coordinate by
+the words of `_Ambient.axes`, and no subgroup is decoded.
+`codes._torsion_sizes` is the word-counting reference for the carried
+sizes; the tests keep the other references, the older walk by index-2
+covers and a scan of P for the cosets of K.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ def _carry(ambient: codes._Ambient, i: int, reps: list[int]) -> list[list[int]]:
     of its coset in that order, as a scan of that group finds them.
     """
     m = ambient.moduli[i]
-    words = [u | d << (4 * i) for d in range(m) for u in reps]
+    words = [u | y for y in ambient.axes[i] for u in reps]
     return [words] + [words[: len(words) >> b] for b in range(1, m.bit_length())]
 
 
@@ -111,13 +114,13 @@ def _children(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[i
     t < e, and the lookup at b = c; `grown` keeps them by K's sizes and these,
     for the walk of one coordinate.
     """
+    axis = ambient.axes[i]  # axis[d] = d e_i
     if i < ambient.alpha:
         # P is binary, so every word has order <= 2 modulo K: the lifts of
         # 1 are all the coset words, in their order
         doubled = (*(s + 1 for s in sizes[:-1]), sizes[-1])
-        unit = 1 << (4 * i)
         for v in reps:
-            yield v | unit, doubled, 1
+            yield v | axis[1], doubled, 1
         return
     mask, e = ambient.mask, ambient.e  # top = e on a Z_{2^e} coordinate
     # built once per K: 2^t K for t < e, a half in K of each word of 2K, and
@@ -156,7 +159,7 @@ def _children(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[i
             ]
         cosets[c].append((v, by_b))
     for b in range(1, e + 1):
-        image = 1 << (4 * i + e - b)
+        image = axis[1 << (e - b)]  # 2^a e_i, with a = e - b
         for v, by_b in chain.from_iterable(cosets[: b + 1]):
             yield v | image, by_b[b], b
 
@@ -189,26 +192,13 @@ def _walk(ambient: codes._Ambient, n: int
     return iter(level)
 
 
-def _subgroup_stream(ambient: codes._Ambient) -> Iterator[frozenset[int]]:
-    """Every subgroup of the ambient group, once each, adding one coordinate
-    at a time.
-
-    The subgroups of the last coordinate are built from their part on the
-    coordinates before it, straight from `_children`, with no coset words."""
-    n = len(ambient.moduli)
-    grown: dict = {}
-    for (sub, sizes), reps in _walk(ambient, max(n - 1, 0)):
-        yield sub
-        if n:
-            for x, _, _ in _children(ambient, n - 1, sub, reps, sizes, grown):
-                yield ambient.adjoin(sub, x)
-
-
 def _sized_stream(ambient: codes._Ambient) -> Iterator[tuple[int, ...]]:
-    """The torsion sizes of every subgroup, in the order of `_subgroup_stream`.
+    """The torsion sizes of every subgroup, in the order of `_walk` over
+    every coordinate.
 
     The subgroups of the last coordinate, nearly all of them, are sized from
-    their part on the coordinates before it and never built."""
+    their part on the coordinates before it and never built, nor are their
+    coset words."""
     n = len(ambient.moduli)
     grown: dict = {}
     for (sub, sizes), reps in _walk(ambient, max(n - 1, 0)):
@@ -218,13 +208,6 @@ def _sized_stream(ambient: codes._Ambient) -> Iterator[tuple[int, ...]]:
                 yield child
 
 
-def _signature(sizes: tuple[int, ...]) -> tuple[int, ...]:
-    """Torsion sizes as the signature `codes._torsion_signature` counts."""
-    *s, z = sizes
-    killed = [1] + [1 << t for t in s]
-    return (1, *(b - a for a, b in zip(killed, killed[1:])), 1 << z)
-
-
 def enumerate_subgroups(alpha: int, beta: int, e: int = 3) -> list[Code]:
     """Every distinct subgroup of Z2^alpha x Z_{2^e}^beta, exactly once.
 
@@ -232,7 +215,8 @@ def enumerate_subgroups(alpha: int, beta: int, e: int = 3) -> list[Code]:
     """
     check_ambient_size(alpha, beta, e)
     ambient = codes._Ambient(alpha, beta, e)
-    subgroups = sorted(_subgroup_stream(ambient), key=lambda s: (len(s), sorted(s)))
+    walked = (sub for (sub, _), _ in _walk(ambient, len(ambient.moduli)))
+    subgroups = sorted(walked, key=lambda s: (len(s), sorted(s)))
     return [Code._from_packed(ambient, sub) for sub in subgroups]
 
 
@@ -252,13 +236,13 @@ def census(alpha: int, beta: int, e: int = 3) -> TypeCensus:
 
     The walk's torsion sizes are tallied as they come, so the census holds
     no subgroup, and builds none of the last coordinate's.  Each distinct
-    signature is then typed once; a type fixes its torsion sizes, so no two
-    signatures share one.
+    sizes tuple is then typed once; a type fixes its torsion sizes, so no
+    two sizes tuples share one.
     """
     check_ambient_size(alpha, beta, e)
     ambient = codes._Ambient(alpha, beta, e)
     tallies = {
-        codes._type_from_signature(_signature(sizes), e): n
+        codes._type_from_sizes(sizes, e): n
         for sizes, n in Counter(_sized_stream(ambient)).items()
     }
     total = sum(tallies.values())

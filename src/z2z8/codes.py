@@ -2,15 +2,15 @@
 
 Words carry a binary segment and a modular segment.  Inside this module a
 word is a packed integer, 4 bits per coordinate, and `_Ambient` is the only
-code that knows that format; `MixedWord` is the view used for input and
-output, and its arithmetic is the reference the packed kernel is tested
-against.  Generator matrices in standard block form are assembled from
-their named free blocks, spans are materialized explicitly, and an
-arbitrary subgroup can be classified back to its type from torsion sizes
-alone.  The parity-check matrix of a standard form is read off (U^-1)^T,
-where U is the unitriangular matrix that the A_ij blocks form; it is
-validated behaviorally against `dual_bruteforce`, which searches the
-ambient group exhaustively.
+code that knows that format (other modules place values by `_Ambient.axes`);
+`MixedWord` is the view used for input and output, and its arithmetic is
+the reference the packed kernel is tested against.  Generator matrices in
+standard block form are assembled from their named free blocks, spans are
+materialized explicitly, and an arbitrary subgroup can be classified back
+to its type from its torsion sizes alone.  The parity-check matrix of a
+standard form is read off (U^-1)^T, where U is the unitriangular matrix
+that the A_ij blocks form; it is validated behaviorally against
+`dual_bruteforce`, which searches the ambient group exhaustively.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class MixedWord:
     """One element of Z2^alpha x Z_{2^e}^beta; immutable.
 
     Not a tuple, unlike the module's other value types: `3 * w` is a scalar
-    multiple and a word has no length.
+    multiple and a word has no length.  `bin` and `mod` are kept as tuples.
     """
 
     __slots__ = ("bin", "mod", "e")
@@ -61,10 +61,10 @@ class MixedWord:
     mod: tuple[int, ...]
     e: int
 
-    def __init__(self, bin: tuple[int, ...], mod: tuple[int, ...], e: int = 3) -> None:
+    def __init__(self, bin: Iterable[int], mod: Iterable[int], e: int = 3) -> None:
         if e not in (2, 3):
             raise ValueError(f"ring exponent must be 2 or 3, got {e}")
-        m = 1 << e
+        bin, mod, m = tuple(bin), tuple(mod), 1 << e
         if any(x not in (0, 1) for x in bin):
             raise ValueError(f"binary entries must be 0/1, got {bin}")
         if any(not 0 <= x < m for x in mod):
@@ -206,12 +206,17 @@ class _Ambient:
         digits = _unpack(x, self.alpha + self.beta)
         return MixedWord(digits[: self.alpha], digits[self.alpha:], self.e)
 
+    @cached_property
+    def axes(self) -> tuple[range, ...]:
+        """axes[i][d] is the word d e_i, for 0 <= d < moduli[i]."""
+        return tuple(range(0, m << (4 * i), 1 << (4 * i)) for i, m in enumerate(self.moduli))
+
     def elements(self) -> list[int]:
         """Every word, the last coordinate outermost: for each i, the words
         of the group on the first i coordinates come first, in this order."""
         words = [0]
-        for i, m in enumerate(self.moduli):
-            words = [x | d << (4 * i) for d in range(m) for x in words]
+        for axis in self.axes:
+            words = [x | y for y in axis for x in words]
         return words
 
     def adjoin(self, group: frozenset[int], g: int) -> frozenset[int]:
@@ -311,8 +316,10 @@ def _log2_exact(n: int, what: str) -> int:
     return b
 
 
-def _torsion_signature(words: Iterable[int], ambient: _Ambient) -> tuple[int, ...]:
-    """The counts of words of order 1, 2, ..., 2^e, then of order <= 2 with zero binary part."""
+def _torsion_sizes(words: Iterable[int], ambient: _Ambient) -> tuple[int, ...]:
+    """The torsion sizes (s_1, ..., s_e, z) of a word set: 2^s_t words killed
+    by 2^t and 2^z of order <= 2 with zero binary part; `NotASubgroupError`
+    at the first count that no subgroup has."""
     mask, bin_mask = ambient.mask, ambient.bin_mask
     counts = [0] * (ambient.e + 2)  # counts[j]: words of order exactly 2^j, for j <= e
     for x in words:
@@ -322,21 +329,21 @@ def _torsion_signature(words: Iterable[int], ambient: _Ambient) -> tuple[int, ..
         counts[j] += 1
         if j <= 1 and not x & bin_mask:
             counts[-1] += 1
-    return tuple(counts)
-
-
-def _type_from_signature(signature: tuple[int, ...], e: int) -> tuple[int, ...]:
-    """The type (k0, k_1, ..., k_e) read off a torsion signature; see `classify_type`."""
-    *of_order, zero_binary = signature
+    *of_order, zero_binary = counts
     _log2_exact(sum(of_order), "code")
     if not of_order[0]:
         raise NotASubgroupError("code does not contain the zero word")
     s = [_log2_exact(n, f"{1 << j}-torsion") for j, n in enumerate(accumulate(of_order))]
-    z = _log2_exact(zero_binary, "zero-binary 2-torsion")
-    tops = [0] + [s[e - i + 1] - s[e - i] for i in range(1, e)] + [z]
-    ks = (s[1] - z, *(b - a for a, b in zip(tops, tops[1:])))
+    return (*s[1:], _log2_exact(zero_binary, "zero-binary 2-torsion"))
+
+
+def _type_from_sizes(sizes: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """The type (k0, k_1, ..., k_e) read off torsion sizes; see `classify_type`."""
+    *s, z = sizes  # s[t - 1] = s_t
+    tops = [0] + [s[e - i] - s[e - i - 1] for i in range(1, e)] + [z]
+    ks = (s[0] - z, *(b - a for a, b in zip(tops, tops[1:])))
     if min(ks) < 0:
-        raise NotASubgroupError(f"inconsistent torsion profile (s={s[1:]}, z={z})")
+        raise NotASubgroupError(f"inconsistent torsion profile (s={s}, z={z})")
     return ks
 
 
@@ -348,10 +355,10 @@ def classify_type(code: Code):
     killed by 2^j and 2^z order <= 2 elements with zero binary part,
     s_j - s_(j-1) counts the cyclic factors of order above 2^(j-1), so
     k_1 + ... + k_i = s_(e-i+1) - s_(e-i) for i < e, k_1 + ... + k_e = z,
-    and k0 = s_1 - z.  `census` carries these torsion sizes down its coordinate
-    walk instead of counting words, and types each distinct signature once.
+    and k0 = s_1 - z.  `census` carries the same sizes down its coordinate
+    walk instead of counting words (`_torsion_sizes`), and types each once.
     """
-    ks = _type_from_signature(_torsion_signature(code._packed, code._ambient), code.e)
+    ks = _type_from_sizes(_torsion_sizes(code._packed, code._ambient), code.e)
     return TypeProfile(code.alpha, code.beta, *ks) if code.e == 3 else ks
 
 

@@ -34,8 +34,8 @@ def coset_scan(ambient: _Ambient, i: int, sub: frozenset[int]) -> list[int]:
 
 
 def subgroup_sets_by_covers(ambient: _Ambient) -> list[frozenset[int]]:
-    """Test reference for `_subgroup_stream`: the lattice walked layer by
-    layer, ordered as `enumerate_subgroups` orders it.
+    """Test reference for the coordinate walk of `z2z8.census`: the lattice
+    walked layer by layer, ordered as `enumerate_subgroups` orders it.
 
     A maximal subgroup S of a finite abelian 2-group T has index 2, so
     T = S | (S + g) for any g in T outside S, and 2g is in S.  Layer n+1 is

@@ -11,9 +11,7 @@ import pytest
 
 from reference import coset_scan, subgroup_sets_by_covers
 from z2z8.census import (
-    _signature,
     _sized_stream,
-    _subgroup_stream,
     _walk,
     census,
     census_to_json,
@@ -21,7 +19,7 @@ from z2z8.census import (
     formula_census,
     verify_formula,
 )
-from z2z8.codes import Code, MixedWord, _Ambient, _torsion_signature, classify_type, span
+from z2z8.codes import Code, MixedWord, _Ambient, _torsion_sizes, classify_type, span
 from z2z8.errors import AmbientTooLargeError
 
 
@@ -75,6 +73,11 @@ COVER_WALK_AMBIENTS = [
 ] + [(3, 2, 3)]
 
 
+def walked_subgroups(ambient):
+    """The subgroups of the ambient, in the order of the walk over every coordinate."""
+    return [sub for (sub, _), _ in _walk(ambient, len(ambient.moduli))]
+
+
 @pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
 def test_coordinate_walk_matches_cover_walk(alpha, beta, e):
     # the same packed subgroups, in the same order, as the lattice walk by covers
@@ -84,12 +87,14 @@ def test_coordinate_walk_matches_cover_walk(alpha, beta, e):
 
 @pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
 def test_walk_without_sizes_builds_the_sized_walks_subgroups(alpha, beta, e):
-    # the bare stream takes the last coordinate's subgroups straight from
-    # `_children`: the same subgroups, in the same order, as the full walk
-    # over every coordinate
+    # `enumerate_subgroups` reads the walk over every coordinate and drops
+    # the sizes; the census's shortcut sizes the last coordinate's subgroups
+    # straight from `_children`, without building them: subgroup by
+    # subgroup, in walk order, the sizes the full walk carries are the
+    # shortcut's
     ambient = _Ambient(alpha, beta, e)
-    walked = [sub for (sub, _), _ in _walk(ambient, len(ambient.moduli))]
-    assert list(_subgroup_stream(ambient)) == walked
+    carried = [sizes for (_, sizes), _ in _walk(ambient, len(ambient.moduli))]
+    assert list(_sized_stream(ambient)) == carried
 
 
 @pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
@@ -120,11 +125,10 @@ def test_walk_builds_no_prefix_group(monkeypatch):
     assert len(enumerate_subgroups(2, 2, 3)) == 671
 
 
-@pytest.mark.parametrize("stream", [census, enumerate_subgroups])
-def test_no_coset_words_for_the_last_coordinate(monkeypatch, stream):
-    # coset words are carried once per subgroup of the prefixes on the first
-    # n - 1 coordinates, (0,0), (1,0), (2,0) and (3,0) for (3,2,3):
-    # 1 + 2 + 5 + 16, and never for the last coordinate's subgroups
+def test_no_coset_words_for_the_last_coordinate(monkeypatch):
+    # the census carries coset words once per subgroup of the prefixes on
+    # the first n - 1 coordinates, (0,0), (1,0), (2,0) and (3,0) for
+    # (3,2,3): 1 + 2 + 5 + 16, and never for the last coordinate's subgroups
     module = importlib.import_module("z2z8.census")
     carry, calls = module._carry, 0
 
@@ -134,7 +138,7 @@ def test_no_coset_words_for_the_last_coordinate(monkeypatch, stream):
         return carry(*args)
 
     monkeypatch.setattr(module, "_carry", counted)
-    stream(3, 2, 3)
+    census(3, 2, 3)
     assert calls == 24
 
 
@@ -188,9 +192,9 @@ def test_census_streams_the_subgroups():
 
 @pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
 def test_census_matches_per_subgroup_classification(alpha, beta, e):
-    # reference: one Code and one classify_type per subgroup, no signature tally
+    # reference: one Code and one classify_type per subgroup, no sizes tally
     ambient = _Ambient(alpha, beta, e)
-    types = (classify_type(Code._from_packed(ambient, s)) for s in _subgroup_stream(ambient))
+    types = (classify_type(Code._from_packed(ambient, s)) for s in walked_subgroups(ambient))
     expected = Counter(t.ks if e == 3 else t for t in types)
     c = census(alpha, beta, e)
     assert c.counts == dict(expected)
@@ -199,12 +203,12 @@ def test_census_matches_per_subgroup_classification(alpha, beta, e):
 
 @pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
 def test_carried_sizes_match_counted_signatures(alpha, beta, e):
-    # subgroup by subgroup, in walk order: the sizes the walk carries against
-    # the words of the subgroup counted by the reference
+    # subgroup by subgroup, in walk order: the sizes the census's stream
+    # carries against the words of the full walk's subgroups, counted by
+    # the reference
     ambient = _Ambient(alpha, beta, e)
-    carried = [_signature(sizes) for sizes in _sized_stream(ambient)]
-    counted = [_torsion_signature(sub, ambient) for sub in _subgroup_stream(ambient)]
-    assert carried == counted
+    counted = [_torsion_sizes(sub, ambient) for sub in walked_subgroups(ambient)]
+    assert list(_sized_stream(ambient)) == counted
 
 
 def test_census_builds_no_subgroup_of_the_last_coordinate(monkeypatch):
@@ -223,6 +227,15 @@ def test_census_builds_no_subgroup_of_the_last_coordinate(monkeypatch):
     monkeypatch.setattr(_Ambient, "adjoin", counted)
     assert census(3, 2, 3).total_subgroups == 4162
     assert 0 < calls < bound
+
+
+def test_census_output_unchanged():
+    # sha256 over census_to_json(census(...)) for every COVER_WALK_AMBIENTS
+    # ambient, taken before the census typed its carried sizes directly
+    digest = hashlib.sha256()
+    for alpha, beta, e in COVER_WALK_AMBIENTS:
+        digest.update(census_to_json(census(alpha, beta, e)).encode())
+    assert digest.hexdigest() == "87a76b7ecc3d672765c567b948dac9977d910933b31306b073314be15d802536"
 
 
 def test_census_small():

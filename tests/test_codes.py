@@ -5,8 +5,8 @@ import hashlib
 import pytest
 
 from z2z8.codes import (
-    _torsion_signature,
-    _type_from_signature,
+    _torsion_sizes,
+    _type_from_sizes,
     Code,
     MixedWord,
     StandardFormMatrix,
@@ -204,21 +204,25 @@ def test_classify_rejects_non_subgroup():
 
 
 @pytest.mark.parametrize(
-    "signature,mods,message",
+    "alpha,beta,words,message",
     [
-        # (words of order 1, 2, 4, 8; zero-binary words of order <= 2) in Z8
-        ((0, 0, 0, 1, 0), [1], "code does not contain the zero word"),
-        ((1, 1, 1, 1, 2), [0, 2, 4, 1], "4-torsion has size 3, not a power of two"),
-        ((1, 0, 1, 2, 1), [0, 1, 2, 3], "inconsistent torsion profile (s=[0, 1, 2], z=0)"),
+        (0, 1, [((), (0,)), ((), (1,)), ((), (2,))], "code has size 3, not a power of two"),
+        (0, 1, [((), (1,))], "code does not contain the zero word"),
+        (0, 1, [((), (m,)) for m in (0, 2, 4, 1)], "4-torsion has size 3, not a power of two"),
+        (1, 2, [((0,), (0, 0)), ((0,), (4, 0)), ((0,), (0, 4)), ((1,), (0, 0))],
+         "zero-binary 2-torsion has size 3, not a power of two"),
+        # sizes (0, 1, 2, 0): every count a power of two, but they give k3 = -1
+        (0, 1, [((), (m,)) for m in (0, 1, 2, 3)], "inconsistent torsion profile (s=[0, 1, 2], z=0)"),
     ],
+    ids=["code-size", "no-zero-word", "4-torsion", "zero-binary-2-torsion", "inconsistent"],
 )
-def test_type_from_signature_rejects_forged_signatures(signature, mods, message):
+def test_forged_word_sets_are_refused(alpha, beta, words, message):
+    # each check of `_torsion_sizes` and `_type_from_sizes`, in the order
+    # they run, with the message classify_type gives for the same words
+    c = Code([W(b, m) for b, m in words], alpha, beta, 3)
     with pytest.raises(NotASubgroupError) as forged:
-        _type_from_signature(signature, 3)
+        _type_from_sizes(_torsion_sizes(c._packed, c._ambient), 3)
     assert str(forged.value) == message
-    # the same message classify_type gives for a word set with this signature
-    c = Code([W([], [m]) for m in mods], 0, 1, 3)
-    assert _torsion_signature(c._packed, c._ambient) == signature
     with pytest.raises(NotASubgroupError) as code:
         classify_type(c)
     assert str(code.value) == message

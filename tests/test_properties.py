@@ -10,7 +10,7 @@ from functools import cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2z8.census import _subgroup_stream
+from z2z8.census import _walk
 from z2z8.codes import (
     MixedWord,
     _Ambient,
@@ -129,7 +129,8 @@ def test_dual_laws(case):
 @cache
 def walked_subgroups(alpha, beta, e):
     """How often the coordinate walk yields each subgroup, once per ambient."""
-    return Counter(_subgroup_stream(_Ambient(alpha, beta, e)))
+    ambient = _Ambient(alpha, beta, e)
+    return Counter(sub for (sub, _), _ in _walk(ambient, len(ambient.moduli)))
 
 
 @few

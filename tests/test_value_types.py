@@ -21,6 +21,7 @@ from z2z8 import (
     count_product,
     delta_exponents,
     parity_check,
+    span,
     verify_formula,
 )
 from z2z8.census import VerifyReport, VerifyRow
@@ -154,6 +155,16 @@ def test_mixed_word_contract():
         read_only(w, field)
     assert pickle.loads(pickle.dumps(w)) == w
     assert copy.copy(w) == w and copy.deepcopy(w) == w
+
+
+def test_mixed_word_stores_tuples():
+    # lists in, tuples out: a word built from lists equals and hashes as the
+    # word built from tuples, so it can be looked up in a code
+    w = MixedWord([1], [2])
+    assert (w.bin, w.mod) == ((1,), (2,))
+    assert w == MixedWord((1,), (2,)) and hash(w) == hash(MixedWord((1,), (2,)))
+    assert w in span([MixedWord([1], [2])])
+    assert MixedWord([0], [4]) in span([w]) and MixedWord([1], [0]) not in span([w])
 
 
 @pytest.mark.parametrize("args,message", [
