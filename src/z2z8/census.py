@@ -16,23 +16,24 @@ are K's with each new coordinate value below the index of M's image (see
 `_carry`), so the cosets of K come one step each and no group of words, P
 or the ambient, is ever built or scanned.  It carries each subgroup's
 torsion sizes too: M's follow from K's and a few lookups in tables built
-once per K, so no word of M is counted.  There is one walk, `_walk`:
-`enumerate_subgroups` runs it over every coordinate, and `_sized_stream`,
-the census's one shortcut, runs it up to the last coordinate only and sizes
-the last coordinate's subgroups, nearly all of them, straight from their
-parents' `_children`, building neither them nor their coset words.  The
-levels are chained generators, so a walk holds one subgroup per coordinate.
-It runs on the packed words of `codes`, placing values in a coordinate by
-the words of `_Ambient.axes`, and no subgroup is decoded.
-`codes._torsion_sizes` is the word-counting reference for the carried
-sizes; the tests keep the other references, the older walk by index-2
-covers and a scan of P for the cosets of K.
+once per K, so no word of M is counted.  `_subgroups`, the one stream that
+`census` and `enumerate_subgroups` read, walks up to the last coordinate and
+takes that coordinate's subgroups, nearly all of them, straight from their
+parents' `_children`, with their sizes and no coset words; `census` tallies
+the sizes and `enumerate_subgroups` builds the subgroups.  The levels are
+chained generators, so a walk holds one subgroup per coordinate.  It runs on
+the packed words of `codes`, placing values in a coordinate by the words of
+`_Ambient.axes`, and no subgroup is decoded.  `codes._torsion_sizes` is the
+word-counting reference for the carried sizes; the tests keep the other
+references, the older walk by index-2 covers and a scan of P for the cosets
+of K.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from . import codes, counting
@@ -50,19 +51,13 @@ __all__ = [
     "census_to_json",
 ]
 
-AMBIENT_GUARD_BITS = 16  # enumeration refuses ambient groups of 2^16 words or more
+AMBIENT_GUARD_BITS = 16  # enumeration refuses groups of 2^16 words or more
 
 
-def check_ambient_size(alpha: int, beta: int, e: int) -> None:
-    """Refuse an ambient group at or above the enumeration guard.
-
-    The size is worked out from the dimensions, before any word is built.
-    """
-    bits = alpha + e * beta
+def check_size(bits: int, what: str = "ambient group") -> None:
+    """Refuse a group of 2^bits words at or above the guard, before any word is built."""
     if bits >= AMBIENT_GUARD_BITS:
-        raise AmbientTooLargeError(
-            f"ambient group has 2^{bits} words, at or above the 2^{AMBIENT_GUARD_BITS} guard"
-        )
+        raise AmbientTooLargeError(f"{what} has 2^{bits} words, at or above the 2^{AMBIENT_GUARD_BITS} guard")
 
 
 def _carry(ambient: codes._Ambient, i: int, reps: list[int]) -> list[list[int]]:
@@ -84,10 +79,10 @@ def _carry(ambient: codes._Ambient, i: int, reps: list[int]) -> list[list[int]]:
 
 def _children(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[int],
               sizes: tuple[int, ...], grown: dict
-              ) -> Iterator[tuple[int, tuple[int, ...], int]]:
+              ) -> Iterator[tuple[frozenset[int], int, tuple[int, ...], int]]:
     """The subgroups of P x Z_m whose part in P is `sub`, other than `sub`
-    itself, as triples (x, torsion sizes, b): the subgroup is `sub` + <x>,
-    and its image in coordinate i has order 2^b.
+    itself, as (sub, x, torsion sizes, b): the subgroup is `sub` + <x>, and
+    its image in coordinate i has order 2^b.
 
     P is the group on the coordinates below i, Z_m with m = 2^top is
     coordinate i, and `reps` holds the coset words of `sub` in P; the moduli
@@ -120,7 +115,7 @@ def _children(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[i
         # 1 are all the coset words, in their order
         doubled = (*(s + 1 for s in sizes[:-1]), sizes[-1])
         for v in reps:
-            yield v | axis[1], doubled, 1
+            yield sub, v | axis[1], doubled, 1
         return
     mask, e = ambient.mask, ambient.e  # top = e on a Z_{2^e} coordinate
     # built once per K: 2^t K for t < e, a half in K of each word of 2K, and
@@ -161,7 +156,7 @@ def _children(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[i
     for b in range(1, e + 1):
         image = axis[1 << (e - b)]  # 2^a e_i, with a = e - b
         for v, by_b in chain.from_iterable(cosets[: b + 1]):
-            yield v | image, by_b[b], b
+            yield sub, v | image, by_b[b], b
 
 
 def _extend(ambient: codes._Ambient, i: int,
@@ -174,7 +169,7 @@ def _extend(ambient: codes._Ambient, i: int,
     for (sub, sizes), reps in level:
         carried = _carry(ambient, i, reps)
         yield (sub, sizes), carried[0]
-        for x, child, b in _children(ambient, i, sub, reps, sizes, grown):
+        for _, x, child, b in _children(ambient, i, sub, reps, sizes, grown):
             yield (ambient.adjoin(sub, x), child), carried[b]
 
 
@@ -192,20 +187,20 @@ def _walk(ambient: codes._Ambient, n: int
     return iter(level)
 
 
-def _sized_stream(ambient: codes._Ambient) -> Iterator[tuple[int, ...]]:
-    """The torsion sizes of every subgroup, in the order of `_walk` over
-    every coordinate.
-
-    The subgroups of the last coordinate, nearly all of them, are sized from
-    their part on the coordinates before it and never built, nor are their
-    coset words."""
+def _subgroups(ambient: codes._Ambient
+               ) -> Iterator[tuple[frozenset[int], int, tuple[int, ...], int]]:
+    """Every subgroup with its torsion sizes, in the order of `_walk` over
+    every coordinate, as (K, x, sizes, b): K is a subgroup on the coordinates
+    before the last, and the subgroup is K itself when x == 0 (and b == 0),
+    else K + <x>, whose image in the last coordinate has order 2^b (see
+    `_children`).  The reader builds them if it needs them; no coset words
+    are built for them."""
     n = len(ambient.moduli)
     grown: dict = {}
     for (sub, sizes), reps in _walk(ambient, max(n - 1, 0)):
-        yield sizes
+        yield sub, 0, sizes, 0
         if n:
-            for _, child, _ in _children(ambient, n - 1, sub, reps, sizes, grown):
-                yield child
+            yield from _children(ambient, n - 1, sub, reps, sizes, grown)
 
 
 def enumerate_subgroups(alpha: int, beta: int, e: int = 3) -> list[Code]:
@@ -213,9 +208,9 @@ def enumerate_subgroups(alpha: int, beta: int, e: int = 3) -> list[Code]:
 
     Ordered by size then by packed word content, so repeated runs agree.
     """
-    check_ambient_size(alpha, beta, e)
+    check_size(alpha + e * beta)
     ambient = codes._Ambient(alpha, beta, e)
-    walked = (sub for (sub, _), _ in _walk(ambient, len(ambient.moduli)))
+    walked = (ambient.adjoin(sub, x) if x else sub for sub, x, _, _ in _subgroups(ambient))
     subgroups = sorted(walked, key=lambda s: (len(s), sorted(s)))
     return [Code._from_packed(ambient, sub) for sub in subgroups]
 
@@ -234,16 +229,16 @@ class TypeCensus(NamedTuple):
 def census(alpha: int, beta: int, e: int = 3) -> TypeCensus:
     """Enumerate all subgroups and tally them by classified type.
 
-    The walk's torsion sizes are tallied as they come, so the census holds
-    no subgroup, and builds none of the last coordinate's.  Each distinct
-    sizes tuple is then typed once; a type fixes its torsion sizes, so no
-    two sizes tuples share one.
+    The torsion sizes of `_subgroups` are tallied as they come, so the
+    census holds no subgroup, and builds none of the last coordinate's.
+    Each distinct sizes tuple is then typed once; a type fixes its torsion
+    sizes, so no two sizes tuples share one.
     """
-    check_ambient_size(alpha, beta, e)
+    check_size(alpha + e * beta)
     ambient = codes._Ambient(alpha, beta, e)
     tallies = {
         codes._type_from_sizes(sizes, e): n
-        for sizes, n in Counter(_sized_stream(ambient)).items()
+        for sizes, n in Counter(map(itemgetter(2), _subgroups(ambient))).items()
     }
     total = sum(tallies.values())
     return TypeCensus(alpha, beta, e, dict(sorted(tallies.items())), total, "enumeration")

@@ -36,6 +36,9 @@ FAMILIES: dict[str, tuple[tuple[tuple[int, int], ...], int]] = {
 }
 
 MAX_SEQUENCE_SPAN = 10**4
+# `count` lays out max(alpha, beta) + 2 exponents in a list, so a valid type
+# with a larger alpha or beta cannot be counted
+MAX_SLOT = sys.maxsize - 2
 
 # a*r, then b; a sign must part the r term from b, so 'r1' and '2r3' are rejected
 _AFFINE_PATTERN = r"(?:(\d*)\*?r(?=[+-]|$))?([+-]?\d+)?"
@@ -61,6 +64,11 @@ def family_term(exprs: Sequence[tuple[int, int]], r: int) -> int:
     if any(s < 0 for s in slots):
         return 0
     return counting.count(TypeProfile(*slots))
+
+
+def _check_countable(slots: Sequence[int]) -> None:
+    if min(slots) >= 0 and TypeProfile(*slots).is_valid() and max(slots[:2]) > MAX_SLOT:
+        raise UsageError(f"alpha and beta must be at most {MAX_SLOT} to count, got {list(slots)}")
 
 
 def _nonneg(text: str) -> int:
@@ -143,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_count(args) -> tuple[int, str]:
     profile = TypeProfile(args.alpha, args.beta, args.k0, args.k1, args.k2, args.k3)
+    _check_countable(profile)
     value = counting.count(profile)
     factors = delta = dual = None
     if args.breakdown:
@@ -201,6 +210,9 @@ def cmd_sequence(args) -> tuple[int, str]:
         raise UsageError(f"empty range: start {start} > end {end}")
     if end - start > MAX_SEQUENCE_SPAN:
         raise UsageError(f"range too long: {end - start} > {MAX_SEQUENCE_SPAN}")
+    if max(a * end + b for a, b in exprs[:2]) > MAX_SLOT:  # a >= 0: alpha and beta peak at end
+        for r in range(start, end + 1):
+            _check_countable([a * r + b for a, b in exprs])
 
     terms = [(r, family_term(exprs, r)) for r in range(start, end + 1)]
     if args.format == "json":
@@ -290,8 +302,8 @@ def cmd_matrix(args) -> tuple[int, str]:
     sections: list[tuple[str, list]] = [("generator", rows)]
     if args.parity:
         sections.append(("parity-check", list(codes.parity_check(m).rows)))
-    if args.span:
-        _census.check_ambient_size(args.alpha, args.beta, args.e)
+    if args.span:  # the code has 2^(k0 + e k1 + (e-1) k2 + ... + k_e) words
+        _census.check_size(ks[0] + sum(j * k for j, k in zip(range(args.e, 0, -1), ks[1:])), "code")
         code = codes.span(rows, alpha=args.alpha, beta=args.beta, e=args.e)
         sections.append((f"codewords ({len(code)})", list(code)))
 

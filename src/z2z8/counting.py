@@ -312,23 +312,19 @@ def _mersenne_exponents(top: int, runs) -> list[int]:
     return list(accumulate(c[: top + 1]))
 
 
-def _gaussian_form(two: int, alpha: int, beta: int, k0: int, *parts: int) -> tuple[int, list[int]]:
-    """2^two * [alpha; k0]_2 * [beta; parts]_2.
+def _closed_form(profile: TypeProfile) -> tuple[int, list[int]]:
+    """2^delta * [alpha; k0]_2 * [beta; k1,k2,k3]_2 (valid profiles).
 
     [n; k1, k2, ...]_2 is the telescoping product [n; k1]_2 [n-k1; k2]_2 ...,
     and [m; k]_2 is the run (m - k, m] over the run (0, k].
     """
+    alpha, beta, k0, *parts = profile
     runs = []
     for n, ks in ((alpha, (k0,)), (beta, parts)):
         for k in ks:
             runs += [(n - k, n, 1), (0, k, -1)]
             n -= k
-    return two, _mersenne_exponents(max(alpha, beta), runs)
-
-
-def _closed_form(profile: TypeProfile) -> tuple[int, list[int]]:
-    """2^delta * [alpha; k0]_2 * [beta; k1,k2,k3]_2 (valid profiles)."""
-    return _gaussian_form(_deltas(profile)[0], *profile)
+    return _deltas(profile)[0], _mersenne_exponents(max(alpha, beta), runs)
 
 
 def _product_form(profile: TypeProfile) -> tuple[int, list[int]]:
@@ -462,14 +458,9 @@ def dual_type(profile: TypeProfile) -> TypeProfile:
 
 
 def count_dual(profile: TypeProfile) -> int:
-    """Number of codes whose type is the dual of the given one.
-
-    Evaluated directly as 2^delta_bar times the Gaussian binomials of the
-    dual's slots, as the closed form is; it agrees with count(dual_type(profile)).
-    """
-    _require_valid(profile)
-    p = profile
-    return _evaluate(*_gaussian_form(_deltas(p)[1], p.alpha, p.beta, *_dual_ks(p.alpha, p.beta, p.ks)))
+    """Number of codes of the dual type, count(dual_type(profile)), with its two formulas
+    cross-checked; its closed form is 2^delta_bar [alpha; alpha-k0]_2 [beta; beta-l, k3, k2]_2."""
+    return count(dual_type(profile))
 
 
 def self_dual_count_condition(profile: TypeProfile) -> bool:

@@ -11,7 +11,7 @@ import pytest
 
 from reference import coset_scan, subgroup_sets_by_covers
 from z2z8.census import (
-    _sized_stream,
+    _subgroups,
     _walk,
     census,
     census_to_json,
@@ -87,14 +87,15 @@ def test_coordinate_walk_matches_cover_walk(alpha, beta, e):
 
 @pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
 def test_walk_without_sizes_builds_the_sized_walks_subgroups(alpha, beta, e):
-    # `enumerate_subgroups` reads the walk over every coordinate and drops
-    # the sizes; the census's shortcut sizes the last coordinate's subgroups
-    # straight from `_children`, without building them: subgroup by
-    # subgroup, in walk order, the sizes the full walk carries are the
-    # shortcut's
+    # `census` and `enumerate_subgroups` read `_subgroups`, which takes the
+    # last coordinate's subgroups straight from `_children`, unbuilt:
+    # subgroup by subgroup, in walk order, built by `adjoin` they and their
+    # sizes are those of the walk over every coordinate
     ambient = _Ambient(alpha, beta, e)
-    carried = [sizes for (_, sizes), _ in _walk(ambient, len(ambient.moduli))]
-    assert list(_sized_stream(ambient)) == carried
+    full = [(sub, sizes) for (sub, sizes), _ in _walk(ambient, len(ambient.moduli))]
+    streamed = [(ambient.adjoin(sub, x) if x else sub, sizes)
+                for sub, x, sizes, _ in _subgroups(ambient)]
+    assert streamed == full
 
 
 @pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
@@ -126,9 +127,10 @@ def test_walk_builds_no_prefix_group(monkeypatch):
 
 
 def test_no_coset_words_for_the_last_coordinate(monkeypatch):
-    # the census carries coset words once per subgroup of the prefixes on
-    # the first n - 1 coordinates, (0,0), (1,0), (2,0) and (3,0) for
-    # (3,2,3): 1 + 2 + 5 + 16, and never for the last coordinate's subgroups
+    # the census and the enumeration carry coset words once per subgroup of
+    # the prefixes on the first n - 1 coordinates, (0,0), (1,0), (2,0) and
+    # (3,0) for (3,2,3): 1 + 2 + 5 + 16, and never for the last
+    # coordinate's subgroups
     module = importlib.import_module("z2z8.census")
     carry, calls = module._carry, 0
 
@@ -139,6 +141,9 @@ def test_no_coset_words_for_the_last_coordinate(monkeypatch):
 
     monkeypatch.setattr(module, "_carry", counted)
     census(3, 2, 3)
+    assert calls == 24
+    calls = 0
+    enumerate_subgroups(3, 2, 3)
     assert calls == 24
 
 
@@ -203,12 +208,12 @@ def test_census_matches_per_subgroup_classification(alpha, beta, e):
 
 @pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
 def test_carried_sizes_match_counted_signatures(alpha, beta, e):
-    # subgroup by subgroup, in walk order: the sizes the census's stream
-    # carries against the words of the full walk's subgroups, counted by
-    # the reference
+    # subgroup by subgroup, in walk order: the sizes `_subgroups` carries
+    # against the words of the full walk's subgroups, counted by the
+    # reference
     ambient = _Ambient(alpha, beta, e)
     counted = [_torsion_sizes(sub, ambient) for sub in walked_subgroups(ambient)]
-    assert list(_sized_stream(ambient)) == counted
+    assert [sizes for _, _, sizes, _ in _subgroups(ambient)] == counted
 
 
 def test_census_builds_no_subgroup_of_the_last_coordinate(monkeypatch):

@@ -149,6 +149,17 @@ def test_count_dual_of_invalid_profile_is_usage_error(capsys):
     assert code == 2
 
 
+def test_count_slot_too_large_for_an_index_is_usage_error(capsys):
+    # count() lays out a list of max(alpha, beta) + 2 exponents; an invalid
+    # type still counts 0 without one
+    code = main(["count", "--alpha", "99999999999999999999", "--beta", "1",
+                 "--k0", "0", "--k1", "0", "--k2", "0", "--k3", "0"])
+    assert code == 2
+    assert "alpha and beta must be at most" in capsys.readouterr().err
+    assert run(capsys, "count", "--alpha", "1", "--beta", "1", "--k0", "99999999999999999999",
+               "--k1", "0", "--k2", "0", "--k3", "0") == (0, "0\n")
+
+
 # ---------------------------------------------------------------------------
 # sequence
 # ---------------------------------------------------------------------------
@@ -226,6 +237,16 @@ def test_sequence_usage_errors(capsys):
     assert run(capsys, "sequence", "t1", "--exprs", "r,r,r,r,r,r")[0] == 2
     assert run(capsys, "sequence", "--exprs", "r,r,r")[0] == 2
     assert run(capsys, "sequence", "t1", "--start", "1", "--end", "99999")[0] == 2
+
+
+def test_sequence_slot_too_large_for_an_index_is_usage_error(capsys):
+    huge = "99999999999999999999"
+    code = main(["sequence", "t1", "--start", huge, "--end", huge])
+    assert code == 2
+    assert "alpha and beta must be at most" in capsys.readouterr().err
+    # types that are invalid at every index still print their zeros
+    assert run(capsys, "sequence", "--exprs", f"{huge}r,1,{huge}r+1,0,0,0",
+               "--start", "1", "--end", "2") == (0, "0\n0\n")
 
 
 def test_parse_affine():
@@ -381,10 +402,22 @@ def test_matrix_z4(capsys):
 
 
 def test_matrix_span_guard(capsys):
-    code = main(["matrix", "--alpha", "4", "--beta", "4",
-                 "--k0", "0", "--k1", "0", "--k2", "0", "--k3", "0", "--span"])
-    capsys.readouterr()
+    code = main(["matrix", "--alpha", "16", "--beta", "0",
+                 "--k0", "16", "--k1", "0", "--k2", "0", "--k3", "0", "--span"])
+    assert "code has 2^16 words" in capsys.readouterr().err
     assert code == 3
+
+
+def test_matrix_span_guards_the_code_not_the_ambient(capsys):
+    # codes of 2 and 1 words in ambients of 2^16 words are listed
+    code, out = run(capsys, "matrix", "--alpha", "16", "--beta", "0", "--k0", "1",
+                    "--k1", "0", "--k2", "0", "--k3", "0", "--span")
+    assert code == 0
+    assert out.split("# codewords (2)\n16 0 3\n")[1].count("\n") == 2
+    code, out = run(capsys, "matrix", "--alpha", "4", "--beta", "4", "--k0", "0",
+                    "--k1", "0", "--k2", "0", "--k3", "0", "--span")
+    assert code == 0
+    assert out.endswith("# codewords (1)\n4 4 3\n0 0 0 0 | 0 0 0 0\n")
 
 
 def test_matrix_z4_parity_rows_span_the_dual(capsys):
