@@ -36,8 +36,9 @@ FAMILIES: dict[str, tuple[tuple[tuple[int, int], ...], int]] = {
 }
 
 MAX_SEQUENCE_SPAN = 10**4
-# `count` lays out max(alpha, beta) + 2 exponents in a list, so a valid type
-# with a larger alpha or beta cannot be counted
+# `count` lays out a list of exponents as long as its longest run of 2^j - 1,
+# up to max(alpha, beta) + 2, which must fit an index; a valid type with a
+# larger alpha or beta is refused
 MAX_SLOT = sys.maxsize - 2
 
 # a*r, then b; a sign must part the r term from b, so 'r1' and '2r3' are rejected

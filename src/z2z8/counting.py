@@ -6,9 +6,11 @@ Gaussian Number.  Two independent derivations are kept side by side: the
 ordered-generator product formula and a closed form built from a power of
 two and Gaussian binomials/multinomials.  Every factor of both is
 2^i (2^j - 1), so `count` factors both, with no big integer, into a power
-of two times powers of Phi_d(2), the values at 2 of the cyclotomic
-polynomials; it insists that the two factorisations are equal, exponent by
-exponent, and then multiplies the integer out once.  `count_product`
+of two times the same eight runs of 2^j - 1; it insists that the two
+formulas agree factor by factor, run by run, and then multiplies the
+integer out once from powers of Phi_d(2), the values at 2 of the
+cyclotomic polynomials, read off one list of exponents that is only as
+long as the longest run.  `count_product`
 evaluates the product formula in integers and stays the reference that the
 tests compare against, with the q-kernel in `qnum`.
 
@@ -243,20 +245,23 @@ def count_closed_form(profile: TypeProfile) -> int:
     """2^delta * [alpha; k0]_2 * [beta; k1,k2,k3]_2; 0 for invalid profiles."""
     if not profile.is_valid():
         return 0
-    return _evaluate(*_closed_form(profile))
+    return _evaluate(*_exponents(_closed_form(profile)))
 
 
 def count(profile: TypeProfile) -> int:
     """Number of distinct additive codes of the given type.
 
-    Both formulas are factored, with no big integer: the closed form and the
-    product formula must give the same power of two and the same exponent
-    of every Phi_d(2), the value at 2 of the d-th cyclotomic polynomial
-    (compared through the exponents of 2^j - 1, see below).  That makes
-    them agree as polynomials in q before q = 2 is put in, which is
-    stronger than agreeing as integers.  A disagreement or a negative
-    exponent raises SelfCheckError (it would mean a bug, not a bad input).
-    The integer is then built once from the factorisation.  Invalid
+    Both formulas are factored, with no big integer, into a power of two
+    and eight runs of 2^j - 1 (see below): the closed form and the product
+    formula must give the same power of two and the same runs in the same
+    order, factor by factor.  That makes them agree as polynomials in q
+    before q = 2 is put in, which is stronger than agreeing as integers.
+    A disagreement, or a negative exponent of 2 or of some Phi_d(2), the
+    value at 2 of the d-th cyclotomic polynomial, raises SelfCheckError (it
+    would mean a bug, not a bad input).  The integer is then built once from
+    the factorisation, whose list of exponents is only as long as the
+    longest run: a type whose alpha-runs or beta-runs are empty, such as
+    (10^12, 1; 0, 0, 0, 0), never allocates by alpha or beta.  Invalid
     profiles count 0.
     """
     if not profile.is_valid():
@@ -265,8 +270,9 @@ def count(profile: TypeProfile) -> int:
 
 
 def _agreed_form(profile: TypeProfile) -> tuple[int, list[int]]:
-    """The factorisation (two, c) on which the closed form and the product
-    formula agree (valid profiles); SelfCheckError if they do not."""
+    """The factorisation (two, c) of the form (two, runs) on which the closed
+    form and the product formula agree run by run (valid profiles);
+    SelfCheckError if they do not."""
     closed = _closed_form(profile)
     product = _product_form(profile)
     if closed != product:
@@ -274,7 +280,7 @@ def _agreed_form(profile: TypeProfile) -> tuple[int, list[int]]:
             f"formula disagreement at {profile}: the closed form and the product formula "
             f"factor differently (exponent of 2: {closed[0]} vs {product[0]})"
         )
-    return closed
+    return _exponents(closed)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +288,19 @@ def _agreed_form(profile: TypeProfile) -> tuple[int, list[int]]:
 # ---------------------------------------------------------------------------
 #
 # Every factor of both formulas is 2^i (2^j - 1), and 2^j - 1 is the product
-# of Phi_d(2) over the divisors d of j.  A formula is factored as (two, c):
-# the exponent of 2, and c[j], the net exponent of 2^j - 1 for 0 < j <= top
-# (c[0] = 0).  Its factors come in runs (lo, hi, sign), each the product of
-# (2^j - 1)^sign over lo < j <= hi.  The exponent of Phi_d(2) is
-# sum(c[d::d]), so a run adds sign * (hi//d - lo//d) to it; and c is fixed
-# by those exponents (Moebius inversion), so two formulas have the same
-# exponents of 2 and of every Phi_d(2) exactly when their (two, c) are equal.
+# of Phi_d(2) over the divisors d of j.  A formula is a form (two, runs): the
+# exponent of 2 and eight runs (lo, hi, sign), each the product of
+# (2^j - 1)^sign over lo < j <= hi, in the order N1..N4, D1..D4: the
+# numerator runs of [alpha; k0], [beta; k1], [beta-k1; k2] and
+# [beta-k1-k2; k3], then the runs (0, k] of the denominators.  Both formulas
+# give these runs, so `_agreed_form` compares them one by one; equal runs
+# give equal exponents, but equal exponents need not come from equal runs.
+#
+# `_exponents` turns a form into (two, c): c[j], the net exponent of 2^j - 1
+# for 0 < j <= top (c[0] = 0), through a difference array, where top is the
+# largest hi of a non-empty run, so the list is only as long as the longest
+# run.  The exponent of Phi_d(2) is sum(c[d::d]), as a run adds
+# sign * (hi//d - lo//d) to it.
 #
 # `_evaluate` reads the exponents off c by one of two routes, whichever
 # takes fewer Python steps on the input:
@@ -303,32 +315,39 @@ def _agreed_form(profile: TypeProfile) -> tuple[int, list[int]]:
 # level, so that most products are of numbers of about equal size.
 
 
-def _mersenne_exponents(top: int, runs) -> list[int]:
-    """c[0..top] of runs (lo, hi, sign) with hi <= top, via a difference array."""
+def _exponents(form: tuple[int, list]) -> tuple[int, list[int]]:
+    """(two, c[0..top]) of a form (two, runs), top the largest hi of a non-empty run."""
+    two, runs = form
+    top = 0
+    for lo, hi, _ in runs:  # a plain loop: it compiles faster than a generator
+        if lo < hi and hi > top:
+            top = hi
     c = [0] * (top + 2)
     for lo, hi, sign in runs:
-        c[lo + 1] += sign
-        c[hi + 1] -= sign
-    return list(accumulate(c[: top + 1]))
+        if lo < hi:
+            c[lo + 1] += sign
+            c[hi + 1] -= sign
+    return two, list(accumulate(c[: top + 1]))
 
 
-def _closed_form(profile: TypeProfile) -> tuple[int, list[int]]:
-    """2^delta * [alpha; k0]_2 * [beta; k1,k2,k3]_2 (valid profiles).
+def _closed_form(profile: TypeProfile) -> tuple[int, list]:
+    """2^delta * [alpha; k0]_2 * [beta; k1,k2,k3]_2 as a form (valid profiles).
 
-    [n; k1, k2, ...]_2 is the telescoping product [n; k1]_2 [n-k1; k2]_2 ...,
-    and [m; k]_2 is the run (m - k, m] over the run (0, k].
+    [beta; k1, k2, k3]_2 is the telescoping product
+    [beta; k1]_2 [beta-k1; k2]_2 [beta-k1-k2; k3]_2, and [m; k]_2 is the run
+    (m - k, m] over the run (0, k].
     """
-    alpha, beta, k0, *parts = profile
-    runs = []
-    for n, ks in ((alpha, (k0,)), (beta, parts)):
-        for k in ks:
-            runs += [(n - k, n, 1), (0, k, -1)]
-            n -= k
-    return _deltas(profile)[0], _mersenne_exponents(max(alpha, beta), runs)
+    alpha, beta, k0, k1, k2, k3 = profile
+    b1 = beta - k1
+    b2 = b1 - k2
+    return _deltas(profile)[0], [
+        (alpha - k0, alpha, 1), (b1, beta, 1), (b2, b1, 1), (b2 - k3, b2, 1),
+        (0, k0, -1), (0, k1, -1), (0, k2, -1), (0, k3, -1),
+    ]
 
 
-def _product_form(profile: TypeProfile) -> tuple[int, list[int]]:
-    """N1..N4 / D1..D4 of `_product_factors`, read off its loop bounds (valid profiles).
+def _product_form(profile: TypeProfile) -> tuple[int, list]:
+    """N1..N4 / D1..D4 of `_product_factors` as a form, read off its loop bounds (valid profiles).
 
     The i-th factor of each Ni and Di is 2^(s+i) (2^(m-i) - 1) for i < k, with
     the k, s and m below; over i < k that is 2^(ks + k(k-1)/2) times the run
@@ -350,7 +369,7 @@ def _product_form(profile: TypeProfile) -> tuple[int, list[int]]:
     for sign, k, s, m in factors:
         two += sign * (k * s + k * (k - 1) // 2)
         runs.append((m - k, m, sign))
-    return two, _mersenne_exponents(max(a, b), runs)
+    return two, runs
 
 
 @functools.lru_cache(maxsize=4096)  # bounded: a long-lived process keeps at most this many values

@@ -149,9 +149,15 @@ def test_count_dual_of_invalid_profile_is_usage_error(capsys):
     assert code == 2
 
 
+def test_count_with_only_empty_runs_allocates_nothing(capsys):
+    # every run of 2^j - 1 is empty, so count lays out no list as long as alpha
+    assert run(capsys, "count", "--alpha", "1000000000000", "--beta", "1", "--k0", "0",
+               "--k1", "0", "--k2", "0", "--k3", "0") == (0, "1\n")
+
+
 def test_count_slot_too_large_for_an_index_is_usage_error(capsys):
-    # count() lays out a list of max(alpha, beta) + 2 exponents; an invalid
-    # type still counts 0 without one
+    # count() lays out a list of up to max(alpha, beta) + 2 exponents; an
+    # invalid type still counts 0 without one
     code = main(["count", "--alpha", "99999999999999999999", "--beta", "1",
                  "--k0", "0", "--k1", "0", "--k2", "0", "--k3", "0"])
     assert code == 2

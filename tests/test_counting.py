@@ -144,15 +144,13 @@ def test_count_raises_when_the_product_form_disagrees(monkeypatch):
     product_form = counting._product_form
 
     def more_two(profile):
-        two, c = product_form(profile)
-        return two + 1, c
+        two, runs = product_form(profile)
+        return two + 1, runs
 
     def one_run_moved(profile):  # the run (m - k, m] of N1 moved to (m - k - 1, m - 1]
-        two, c = product_form(profile)
-        c = list(c)
-        c[profile.alpha - profile.k0] += 1
-        c[profile.alpha] -= 1
-        return two, c
+        two, runs = product_form(profile)
+        (lo, hi, sign), *rest = runs
+        return two, [(lo - 1, hi - 1, sign), *rest]
 
     for perturbed in (more_two, one_run_moved):
         monkeypatch.setattr(counting, "_product_form", perturbed)
@@ -162,9 +160,31 @@ def test_count_raises_when_the_product_form_disagrees(monkeypatch):
     assert count(p) == count_product(p).total
 
 
+def test_the_two_forms_give_the_same_runs_in_factor_order(monkeypatch):
+    # N1..N4 are the numerator runs of [alpha; k0], [beta; k1], [beta-k1; k2]
+    # and [beta-k1-k2; k3]; D1..D4 are the runs (0, k]
+    for p in valid_profiles(5, 5):
+        a, b, k0, k1, k2, k3 = p
+        runs = [(a - k0, a, 1), (b - k1, b, 1), (b - k1 - k2, b - k1, 1), (b - p.l, b - k1 - k2, 1),
+                (0, k0, -1), (0, k1, -1), (0, k2, -1), (0, k3, -1)]
+        assert counting._closed_form(p) == counting._product_form(p) == (delta_exponents(p).delta, runs), p
+    # the same runs in another order give the same exponents, but are refused
+    p = TypeProfile(4, 5, 2, 1, 1, 1)
+    product_form = counting._product_form
+
+    def reordered(profile):
+        two, runs = product_form(profile)
+        return two, runs[::-1]
+
+    monkeypatch.setattr(counting, "_product_form", reordered)
+    assert counting._exponents(counting._product_form(p)) == counting._exponents(counting._closed_form(p))
+    with pytest.raises(SelfCheckError, match="formula disagreement"):
+        count(p)
+
+
 def test_negative_cyclotomic_exponent_raises(monkeypatch):
     # (2^2 - 1) / (2^3 - 1) gives Phi_3(2) the exponent -1: not an integer
-    not_integral = (0, [0, 0, 1, -1, 0])
+    not_integral = (0, [(1, 2, 1), (2, 3, -1)])
     monkeypatch.setattr(counting, "_closed_form", lambda profile: not_integral)
     monkeypatch.setattr(counting, "_product_form", lambda profile: not_integral)
     with pytest.raises(SelfCheckError, match="exponent -1"):
@@ -172,16 +192,17 @@ def test_negative_cyclotomic_exponent_raises(monkeypatch):
 
 
 def test_negative_cyclotomic_exponent_raises_on_the_divisor_route(monkeypatch):
-    # the same quotient in a c of 1,001 entries, two of them non-zero: the
-    # exponents come from the divisors of 2 and 3, and Phi_3(2) gets -1
-    not_integral = (0, [0, 0, 1, -1] + [0] * 997)
+    # the same quotient with a cancelling pair of runs up to j = 1,000: c has
+    # 1,001 entries, two of them non-zero, the exponents come from the
+    # divisors of 2 and 3, and Phi_3(2) gets -1
+    not_integral = (0, [(1, 2, 1), (2, 3, -1), (0, 1000, 1), (0, 1000, -1)])
     divisor_route, routed = counting._divisor_exponents, []
     monkeypatch.setattr(counting, "_divisor_exponents", lambda c: routed.append(c) or divisor_route(c))
     monkeypatch.setattr(counting, "_closed_form", lambda profile: not_integral)
     monkeypatch.setattr(counting, "_product_form", lambda profile: not_integral)
     with pytest.raises(SelfCheckError, match="exponent -1"):
         count(TypeProfile(4, 4, 1, 1, 1, 1))
-    assert routed == [not_integral[1]]
+    assert routed == [[0, 0, 1, -1] + [0] * 997]
 
 
 def naive_evaluate(two, c):
@@ -249,6 +270,12 @@ def test_count_needs_no_table_up_to_beta():
     assert value == count_product(p).total
 
 
+def test_count_allocates_nothing_for_empty_runs():
+    # every run of (10^12, 1; 0, 0, 0, 0) is empty: a list of exponents as
+    # long as alpha would not fit in memory
+    assert count(TypeProfile(10**12, 1, 0, 0, 0, 0)) == 1
+
+
 def test_invalid_profiles_count_zero():
     assert count_product(TypeProfile(1, 2, 2, 0, 0, 0)).total == 0
     assert count_closed_form(TypeProfile(1, 2, 0, 1, 1, 1)) == 0
@@ -298,7 +325,7 @@ def test_dual_type_rejects_invalid():
 
 def test_count_dual_matches_count_of_dual_type():
     for p in valid_profiles(5, 5):
-        assert count_dual(p) == count(dual_type(p)), p
+        assert count_dual(p) == count_product(dual_type(p)).total, p
 
 
 def test_count_dual_values():
