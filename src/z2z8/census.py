@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import codes, counting
 from .codes import Code
-from .errors import AmbientTooLargeError
+from .errors import check_work
 
 __all__ = [
     "TypeCensus",
@@ -50,15 +50,6 @@ __all__ = [
     "verify_formula",
     "census_to_json",
 ]
-
-AMBIENT_GUARD_BITS = 16  # enumeration refuses groups of 2^16 words or more
-
-
-def check_size(bits: int, what: str = "ambient group") -> None:
-    """Refuse a group of 2^bits words at or above the guard, before any word is built."""
-    if bits >= AMBIENT_GUARD_BITS:
-        raise AmbientTooLargeError(f"{what} has 2^{bits} words, at or above the 2^{AMBIENT_GUARD_BITS} guard")
-
 
 def _carry(ambient: codes._Ambient, i: int, reps: list[int]) -> list[list[int]]:
     """The coset words in P x Z_m of the subgroups M of P x Z_m whose part K
@@ -204,11 +195,11 @@ def _subgroups(ambient: codes._Ambient
 
 
 def enumerate_subgroups(alpha: int, beta: int, e: int = 3) -> list[Code]:
-    """Every distinct subgroup of Z2^alpha x Z_{2^e}^beta, exactly once.
+    """Every distinct subgroup of Z2^alpha x Z_{2^e}^beta, exactly once, unless too many (see `census`).
 
     Ordered by size then by packed word content, so repeated runs agree.
     """
-    check_size(alpha + e * beta)
+    _formula_census(alpha, beta, e, "enumerate_subgroups")
     ambient = codes._Ambient(alpha, beta, e)
     walked = (ambient.adjoin(sub, x) if x else sub for sub, x, _, _ in _subgroups(ambient))
     subgroups = sorted(walked, key=lambda s: (len(s), sorted(s)))
@@ -227,14 +218,19 @@ class TypeCensus(NamedTuple):
 
 
 def census(alpha: int, beta: int, e: int = 3) -> TypeCensus:
-    """Enumerate all subgroups and tally them by classified type.
+    """Enumerate all subgroups and tally them by type, unless the formula counts too many (`check_work`).
 
     The torsion sizes of `_subgroups` are tallied as they come, so the
     census holds no subgroup, and builds none of the last coordinate's.
     Each distinct sizes tuple is then typed once; a type fixes its torsion
     sizes, so no two sizes tuples share one.
     """
-    check_size(alpha + e * beta)
+    _formula_census(alpha, beta, e, "census")
+    return _tally(alpha, beta, e)
+
+
+def _tally(alpha: int, beta: int, e: int) -> TypeCensus:
+    """The census of `census`, unguarded."""
     ambient = codes._Ambient(alpha, beta, e)
     tallies = {
         codes._type_from_sizes(sizes, e): n
@@ -245,14 +241,20 @@ def census(alpha: int, beta: int, e: int = 3) -> TypeCensus:
 
 
 def formula_census(alpha: int, beta: int, e: int = 3) -> TypeCensus:
-    """Census predicted by the counting formulas, one entry per valid profile.
+    """Census predicted by the counting formulas, one per valid profile; bad input raises as in `census`."""
+    return _formula_census(alpha, beta, e, None)
 
-    The ring exponent and dimensions are checked as `census` checks them.
-    """
+
+def _formula_census(alpha: int, beta: int, e: int, job: str | None) -> TypeCensus:
+    """`formula_census`, refused for a `job` once the running total of its counts passes the limit."""
     codes._Ambient(alpha, beta, e)  # raises ValueError as census does; builds no words
-    counts = {ks: counting.count(counting._z8_slots(alpha, beta, ks))
-              for ks in counting._valid_ks(alpha, beta, e)}
-    return TypeCensus(alpha, beta, e, counts, sum(counts.values()), "formula")
+    counts, total = {}, 0
+    for ks in counting._valid_ks(alpha, beta, e):
+        counts[ks] = n = counting.count(counting._z8_slots(alpha, beta, ks))
+        total += n
+        if job:
+            check_work(total, f"{job}({alpha}, {beta}, {e}) (subgroups, counted up to the limit)")
+    return TypeCensus(alpha, beta, e, counts, total, "formula")
 
 
 class VerifyRow(NamedTuple):
@@ -279,9 +281,9 @@ class VerifyReport(NamedTuple):
 
 
 def verify_formula(alpha: int, beta: int, e: int = 3) -> VerifyReport:
-    """Compare the enumerated census with the formula, profile by profile."""
-    enumerated = census(alpha, beta, e)
-    formula = formula_census(alpha, beta, e)
+    """Compare the enumerated census with the formula, profile by profile; the formula is the guard."""
+    formula = _formula_census(alpha, beta, e, "verify_formula")
+    enumerated = _tally(alpha, beta, e)
     keys = sorted(set(enumerated.counts) | set(formula.counts))
     rows = tuple(
         VerifyRow(k, enumerated.counts.get(k, 0), formula.counts.get(k, 0)) for k in keys

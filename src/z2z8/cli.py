@@ -1,8 +1,8 @@
 """Command-line interface: count queries, sequence families, oracle checks.
 
-Exit codes: 0 success / all checks match, 1 internal inconsistency,
-2 usage error, 3 resource guard exceeded.  Counts are printed as decimal
-strings everywhere, JSON included, so no output ever truncates.
+Exit codes: 0 success / all checks match, 1 internal inconsistency, 2 usage
+error, 3 resource guard (predicted work over `errors.WORK_LIMIT`).  Counts
+are printed as decimal strings everywhere, JSON included, so none truncates.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import codes, counting, identities
 from .counting import TypeProfile
-from .errors import AmbientTooLargeError, SelfCheckError
+from .errors import AmbientTooLargeError, SelfCheckError, check_work
 
 # the census module, registered by the package and loaded on first use:
 # `from .census import ...` would load it for every subcommand
@@ -35,11 +35,7 @@ FAMILIES: dict[str, tuple[tuple[tuple[int, int], ...], int]] = {
     "t8": (((0, 1), (1, 0), (0, 1), (0, 1), (0, 1), (0, 1)), 3),
 }
 
-MAX_SEQUENCE_SPAN = 10**4
-# `count` lays out a list of exponents as long as its longest run of 2^j - 1,
-# up to max(alpha, beta) + 2, which must fit an index; a valid type with a
-# larger alpha or beta is refused
-MAX_SLOT = sys.maxsize - 2
+MAX_SEQUENCE_SPAN = 10**4  # the range's shape: each term costs a `count` call
 
 # a*r, then b; a sign must part the r term from b, so 'r1' and '2r3' are rejected
 _AFFINE_PATTERN = r"(?:(\d*)\*?r(?=[+-]|$))?([+-]?\d+)?"
@@ -65,11 +61,6 @@ def family_term(exprs: Sequence[tuple[int, int]], r: int) -> int:
     if any(s < 0 for s in slots):
         return 0
     return counting.count(TypeProfile(*slots))
-
-
-def _check_countable(slots: Sequence[int]) -> None:
-    if min(slots) >= 0 and TypeProfile(*slots).is_valid() and max(slots[:2]) > MAX_SLOT:
-        raise UsageError(f"alpha and beta must be at most {MAX_SLOT} to count, got {list(slots)}")
 
 
 def _nonneg(text: str) -> int:
@@ -152,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_count(args) -> tuple[int, str]:
     profile = TypeProfile(args.alpha, args.beta, args.k0, args.k1, args.k2, args.k3)
-    _check_countable(profile)
     value = counting.count(profile)
     factors = delta = dual = None
     if args.breakdown:
@@ -211,9 +201,10 @@ def cmd_sequence(args) -> tuple[int, str]:
         raise UsageError(f"empty range: start {start} > end {end}")
     if end - start > MAX_SEQUENCE_SPAN:
         raise UsageError(f"range too long: {end - start} > {MAX_SEQUENCE_SPAN}")
-    if max(a * end + b for a, b in exprs[:2]) > MAX_SLOT:  # a >= 0: alpha and beta peak at end
-        for r in range(start, end + 1):
-            _check_countable([a * r + b for a, b in exprs])
+    slots = ([a * r + b for a, b in exprs] for r in range(start, end + 1))
+    profiles = (TypeProfile(*s) for s in slots if min(s) >= 0)
+    check_work(sum(counting._work(counting._closed_form(p))[1] for p in profiles if p.is_valid()),
+               "sequence (the summed exponents or bits of its counts)")
 
     terms = [(r, family_term(exprs, r)) for r in range(start, end + 1)]
     if args.format == "json":
@@ -304,7 +295,8 @@ def cmd_matrix(args) -> tuple[int, str]:
     if args.parity:
         sections.append(("parity-check", list(codes.parity_check(m).rows)))
     if args.span:  # the code has 2^(k0 + e k1 + (e-1) k2 + ... + k_e) words
-        _census.check_size(ks[0] + sum(j * k for j, k in zip(range(args.e, 0, -1), ks[1:])), "code")
+        bits = ks[0] + sum(j * k for j, k in zip(range(args.e, 0, -1), ks[1:]))
+        check_work((args.alpha + args.beta) << bits, "matrix --span (the entries of its codewords)")
         code = codes.span(rows, alpha=args.alpha, beta=args.beta, e=args.e)
         sections.append((f"codewords ({len(code)})", list(code)))
 

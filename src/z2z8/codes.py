@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .counting import TypeProfile, _type_str
-from .errors import AmbientTooLargeError, NotASubgroupError
+from .errors import NotASubgroupError, check_work
 
 __all__ = [
     "MixedWord",
@@ -45,9 +45,6 @@ __all__ = [
     "format_words",
     "parse_words",
 ]
-
-AMBIENT_GUARD_BITS = 24  # dual_bruteforce refuses ambients above 2^24 words
-
 
 class MixedWord:
     """One element of Z2^alpha x Z_{2^e}^beta; immutable.
@@ -196,8 +193,8 @@ class _Ambient:
         self.alpha, self.beta, self.e = alpha, beta, e
         self.bits = alpha + e * beta  # the group has 2^bits words
         self.moduli = (2,) * alpha + (1 << e,) * beta
-        self.mask = _pack(m - 1 for m in self.moduli)
-        self.bin_mask = _pack((1,) * alpha)  # a word has zero binary part iff x & bin_mask == 0
+        self.bin_mask = ((1 << 4 * alpha) - 1) // 15  # a word has zero binary part iff x & bin_mask == 0
+        self.mask = self.bin_mask | ((1 << 4 * beta) - 1) // 15 * ((1 << e) - 1) << 4 * alpha
 
     def encode(self, w: MixedWord) -> int:
         return _pack(w.bin + w.mod)
@@ -576,14 +573,15 @@ def dual_bruteforce(code: Code) -> Code:
     integer (nibble t holds the t-th product mod 2^e), built coordinate by
     coordinate from the definition 2^(e-1) * (binary dot) + (modular dot).
     The coordinates are cut in two halves of about equal size; each half's
-    words are listed with their partial products, and a word of the dual is
-    a pair whose partial products cancel.
+    words are listed with their partial products (refused if they, or the
+    dual's words, pass the work limit); a dual word is a pair that cancels.
     """
     ambient = code._ambient
-    if ambient.bits > AMBIENT_GUARD_BITS:
-        raise AmbientTooLargeError(
-            f"ambient 2^{ambient.bits} exceeds the 2^{AMBIENT_GUARD_BITS} brute-force guard"
-        )
+    split, low_bits = 0, 0  # the first half, of 2^low_bits words, the larger
+    while 2 * low_bits < ambient.bits:
+        low_bits += ambient.moduli[split].bit_length() - 1
+        split += 1
+    check_work(max(1 << low_bits, (1 << ambient.bits) // len(code)), "dual_bruteforce (words)")
     n, top = code.alpha + code.beta, 1 << code.e
     gens, covered = [], frozenset([0])  # a generating subset, found greedily
     for w in code._packed:
@@ -603,10 +601,6 @@ def dual_bruteforce(code: Code) -> Code:
                      for d, dp in enumerate(multiples) for w, p in table]
         return table
 
-    split, low_bits = 0, 0
-    while 2 * low_bits < ambient.bits:
-        low_bits += ambient.moduli[split].bit_length() - 1
-        split += 1
     high: dict[int, list[int]] = {}
     for w, p in half(range(split, n)):
         high.setdefault(p, []).append(w)

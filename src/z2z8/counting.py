@@ -31,7 +31,7 @@ from itertools import accumulate, compress
 from math import isqrt
 from typing import Iterator, NamedTuple
 
-from .errors import SelfCheckError
+from .errors import SelfCheckError, check_work
 from .qnum import q_binomial
 
 __all__ = [
@@ -122,11 +122,10 @@ class TypeProfile(_TypeProfileFields):
 
 def _valid_ks(alpha: int, beta: int, e: int) -> Iterator[tuple[int, ...]]:
     """Every realizable ks = (k0, k_1..k_e) over Z2^alpha x Z_{2^e}^beta, in
-    lexicographic order: k0 <= alpha and k_1 + ... + k_e <= beta."""
-    tails = [()]
-    for _ in range(e):
-        tails = [t + (k,) for t in tails for k in range(beta - sum(t) + 1)]
-    return ((k0, *t) for k0 in range(alpha + 1) for t in tails)
+    lexicographic order: k0 <= alpha and k_1 + ... + k_e <= beta; lazily, as a guard may stop early."""
+    if not e:
+        return ((k0,) for k0 in range(alpha + 1))
+    return ((*ks, k) for ks in _valid_ks(alpha, beta, e - 1) for k in range(beta - sum(ks[1:]) + 1))
 
 
 def _z8_slots(alpha: int, beta: int, ks: tuple[int, ...]) -> TypeProfile:
@@ -260,9 +259,9 @@ def count(profile: TypeProfile) -> int:
     value at 2 of the d-th cyclotomic polynomial, raises SelfCheckError (it
     would mean a bug, not a bad input).  The integer is then built once from
     the factorisation, whose list of exponents is only as long as the
-    longest run: a type whose alpha-runs or beta-runs are empty, such as
-    (10^12, 1; 0, 0, 0, 0), never allocates by alpha or beta.  Invalid
-    profiles count 0.
+    longest run, and refused (AmbientTooLargeError) if that length or the
+    count's bits pass `errors.WORK_LIMIT`; a type whose runs are empty, such
+    as (10^20, 1; 0, 0, 0, 0), counts at once.  Invalid profiles count 0.
     """
     if not profile.is_valid():
         return 0
@@ -315,13 +314,24 @@ def _agreed_form(profile: TypeProfile) -> tuple[int, list[int]]:
 # level, so that most products are of numbers of about equal size.
 
 
+def _work(form: tuple[int, list]) -> tuple[int, int]:
+    """(top, work) of a form (two, runs), in O(8) steps: top is the largest hi
+    of a non-empty run, and work the larger of top and the count's bits,
+    two + sign * j summed over lo < j <= hi in each run."""
+    top, bits = 0, form[0]
+    for lo, hi, sign in form[1]:  # a plain loop: it compiles faster than a generator
+        if lo < hi:
+            bits += sign * (hi * (hi + 1) - lo * (lo + 1)) // 2
+            if hi > top:
+                top = hi
+    return top, max(top, bits)
+
+
 def _exponents(form: tuple[int, list]) -> tuple[int, list[int]]:
-    """(two, c[0..top]) of a form (two, runs), top the largest hi of a non-empty run."""
+    """(two, c[0..top]) of a form (two, runs) whose `_work` is within the limit."""
+    top, work = _work(form)
+    check_work(work, "count (the larger of its exponents and its bits)")
     two, runs = form
-    top = 0
-    for lo, hi, _ in runs:  # a plain loop: it compiles faster than a generator
-        if lo < hi and hi > top:
-            top = hi
     c = [0] * (top + 2)
     for lo, hi, sign in runs:
         if lo < hi:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one guard on work."""
+
+WORK_LIMIT = 10**7  # items of work (subgroups, words, exponents, bits) one job may do
 
 
 class SelfCheckError(RuntimeError):
@@ -10,4 +12,11 @@ class NotASubgroupError(ValueError):
 
 
 class AmbientTooLargeError(ValueError):
-    """A brute-force operation was asked to scan an ambient group above its guard."""
+    """A job was refused before it started: its predicted work passes WORK_LIMIT (see check_work)."""
+
+
+def check_work(predicted: int, what: str) -> None:
+    """Refuse a job, before it builds anything, whose work is predicted above WORK_LIMIT items."""
+    if predicted > WORK_LIMIT:
+        shown = predicted if predicted < 1 << 64 else f"2^{predicted.bit_length() - 1} or more"
+        raise AmbientTooLargeError(f"{what}: predicted {shown}, above the work limit of {WORK_LIMIT}")

@@ -9,6 +9,7 @@ first use; `z2z8.counting` still offers its three names.
 
 from __future__ import annotations
 
+from math import comb
 from typing import NamedTuple
 
 from .counting import (
@@ -19,6 +20,7 @@ from .counting import (
     self_dual_count_condition,
     valid_profiles,
 )
+from .errors import check_work
 
 __all__ = ["IdentityCheck", "IdentityReport", "check_identities"]
 
@@ -69,6 +71,7 @@ def check_identities(max_alpha: int, max_beta: int) -> IdentityReport:
         raise ValueError("bounds must be >= 1")
     entries: list[IdentityCheck] = []
     A, B = max_alpha, max_beta
+    check_work((A + 1) * (A + 2) // 2 * comb(B + 4, 4), "check_identities (profiles in the box)")
     table = {p: count(p) for p in valid_profiles(A, B)}
 
     def _n(*slots: int) -> int:

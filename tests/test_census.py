@@ -164,6 +164,45 @@ def test_guard_refuses_before_building_anything():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("walk", [census, enumerate_subgroups, verify_formula])
+@pytest.mark.parametrize("alpha,beta,e", [
+    (15, 0, 3),  # 6.2 * 10^17 subgroups in 2^15 words
+    (0, 100, 3),  # 176,851 types, refused after the first few
+    (1, 5, 3),  # 6.2 * 10^7 subgroups
+])
+def test_guard_refuses_on_the_predicted_subgroups_at_once(walk, alpha, beta, e):
+    start = time.perf_counter()
+    with pytest.raises(AmbientTooLargeError, match="subgroups"):
+        walk(alpha, beta, e)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_guard_lays_out_nothing_by_the_dimensions():
+    # the types come one at a time: (0, 150, 3) has 585,276 of them and is
+    # refused at the second; the ambient's masks take linear time
+    tracemalloc.start()
+    try:
+        with pytest.raises(AmbientTooLargeError):
+            census(0, 150, 3)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    start = time.perf_counter()
+    _Ambient(200_000, 200_000, 3)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_verify_formula_counts_each_profile_once(monkeypatch):
+    # the guard's running total is the formula census that verify compares
+    from z2z8 import counting
+
+    calls = []
+    count = counting.count
+    monkeypatch.setattr(counting, "count", lambda profile: calls.append(profile) or count(profile))
+    assert verify_formula(2, 2, 3).all_match
+    assert calls == [counting._z8_slots(2, 2, ks) for ks in counting._valid_ks(2, 2, 3)]
+
+
 # ---------------------------------------------------------------------------
 # census
 # ---------------------------------------------------------------------------

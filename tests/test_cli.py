@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -156,14 +157,24 @@ def test_count_with_only_empty_runs_allocates_nothing(capsys):
 
 
 def test_count_slot_too_large_for_an_index_is_usage_error(capsys):
-    # count() lays out a list of up to max(alpha, beta) + 2 exponents; an
-    # invalid type still counts 0 without one
-    code = main(["count", "--alpha", "99999999999999999999", "--beta", "1",
-                 "--k0", "0", "--k1", "0", "--k2", "0", "--k3", "0"])
-    assert code == 2
-    assert "alpha and beta must be at most" in capsys.readouterr().err
+    # no longer an error: every run of (10^20, 1; 0, 0, 0, 0) is empty, so its
+    # predicted work is 0 and it counts 1; an invalid type still counts 0
+    assert run(capsys, "count", "--alpha", "99999999999999999999", "--beta", "1",
+               "--k0", "0", "--k1", "0", "--k2", "0", "--k3", "0") == (0, "1\n")
     assert run(capsys, "count", "--alpha", "1", "--beta", "1", "--k0", "99999999999999999999",
                "--k1", "0", "--k2", "0", "--k3", "0") == (0, "0\n")
+
+
+@pytest.mark.parametrize("slots", [
+    (10**12, 1, 0, 0, 1, 0),  # 2^(10^12) codes: a count of 10^12 bits
+    (10**9, 1, 1, 0, 0, 0),  # [10^9; 1]_2: 10^9 exponents and bits
+    (10**12, 0, 10**12, 0, 0, 0),  # 1 code, yet runs (0, 10^12] that cancel
+])
+def test_count_too_large_to_build_is_refused_without_a_traceback(capsys, slots):
+    names = ("--alpha", "--beta", "--k0", "--k1", "--k2", "--k3")
+    assert main(["count", *(x for pair in zip(names, map(str, slots)) for x in pair)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource guard: count") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +258,10 @@ def test_sequence_usage_errors(capsys):
 
 def test_sequence_slot_too_large_for_an_index_is_usage_error(capsys):
     huge = "99999999999999999999"
+    # refused by the work guard: t1 at r = 10^20 counts a number of about 10^40 bits
     code = main(["sequence", "t1", "--start", huge, "--end", huge])
-    assert code == 2
-    assert "alpha and beta must be at most" in capsys.readouterr().err
+    assert code == 3
+    assert capsys.readouterr().err.startswith("resource guard: sequence")
     # types that are invalid at every index still print their zeros
     assert run(capsys, "sequence", "--exprs", f"{huge}r,1,{huge}r+1,0,0,0",
                "--start", "1", "--end", "2") == (0, "0\n0\n")
@@ -364,6 +376,14 @@ def test_check_identities_output_bytes_unchanged(capsys):
     assert digest.hexdigest() == "cf5038023a2c4448b12b2edf3f4bd70a3d779c87d610e3d29cf2d70ce09808ce"
 
 
+def test_check_identities_guard_refuses_a_large_box_at_once(capsys):
+    # 41 * 42 / 2 * C(44, 4) = 1.2 * 10^8 profiles, predicted in closed form
+    start = time.perf_counter()
+    assert main(["check-identities", "--max-alpha", "40", "--max-beta", "40"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("resource guard: check_identities")
+
+
 # ---------------------------------------------------------------------------
 # matrix
 # ---------------------------------------------------------------------------
@@ -408,9 +428,10 @@ def test_matrix_z4(capsys):
 
 
 def test_matrix_span_guard(capsys):
-    code = main(["matrix", "--alpha", "16", "--beta", "0",
-                 "--k0", "16", "--k1", "0", "--k2", "0", "--k3", "0", "--span"])
-    assert "code has 2^16 words" in capsys.readouterr().err
+    # 2^24 codewords of 24 entries each: above the work limit
+    code = main(["matrix", "--alpha", "24", "--beta", "0",
+                 "--k0", "24", "--k1", "0", "--k2", "0", "--k3", "0", "--span"])
+    assert capsys.readouterr().err.startswith("resource guard: matrix --span")
     assert code == 3
 
 

@@ -276,6 +276,12 @@ def test_count_allocates_nothing_for_empty_runs():
     assert count(TypeProfile(10**12, 1, 0, 0, 0, 0)) == 1
 
 
+def test_count_has_no_bound_on_alpha_beyond_its_work():
+    # (10^20, 1; 0, 0, 0, 0) has no exponent and no bit to lay out: no index
+    # limit on alpha refuses it
+    assert count(TypeProfile(10**20, 1, 0, 0, 0, 0)) == 1
+
+
 def test_invalid_profiles_count_zero():
     assert count_product(TypeProfile(1, 2, 2, 0, 0, 0)).total == 0
     assert count_closed_form(TypeProfile(1, 2, 0, 1, 1, 1)) == 0

@@ -96,7 +96,7 @@ SUBCOMMANDS = {
     "sequence": (["sequence", "t2"], set(), False),
     "check-identities": (["check-identities", "--max-alpha", "2", "--max-beta", "2"], set(), False),
     "matrix": (["matrix", *PROFILE, "--parity"], {"codes"}, False),
-    "matrix-span": (["matrix", *PROFILE, "--span"], {"codes", "census"}, False),
+    "matrix-span": (["matrix", *PROFILE, "--span"], {"codes"}, False),
     "verify": (["verify", "--alpha", "1", "--beta", "1"], {"codes", "census"}, False),
     "census-export": (["census-export", "--alpha", "1", "--beta", "1"], {"codes", "census"}, True),
     "count-json": (["count", *PROFILE, "--k3", "0", "--format", "json"], set(), True),
