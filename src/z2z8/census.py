@@ -248,12 +248,15 @@ def formula_census(alpha: int, beta: int, e: int = 3) -> TypeCensus:
 def _formula_census(alpha: int, beta: int, e: int, job: str | None) -> TypeCensus:
     """`formula_census`, refused for a `job` once the running total of its counts passes the limit."""
     codes._Ambient(alpha, beta, e)  # raises ValueError as census does; builds no words
+    what = f"{job}({alpha}, {beta}, {e}) (subgroups, counted up to the limit)"
+    if job:  # before any count, its 2-torsion (Z2)^n alone: [n; n//2]_2 >= 2^(n//2 * (n+1)//2), n = alpha+beta
+        check_work(1 << min((alpha + beta) // 2 * ((alpha + beta + 1) // 2), 64), what)
     counts, total = {}, 0
     for ks in counting._valid_ks(alpha, beta, e):
         counts[ks] = n = counting.count(counting._z8_slots(alpha, beta, ks))
         total += n
         if job:
-            check_work(total, f"{job}({alpha}, {beta}, {e}) (subgroups, counted up to the limit)")
+            check_work(total, what)
     return TypeCensus(alpha, beta, e, counts, total, "formula")
 
 

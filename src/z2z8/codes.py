@@ -573,15 +573,17 @@ def dual_bruteforce(code: Code) -> Code:
     integer (nibble t holds the t-th product mod 2^e), built coordinate by
     coordinate from the definition 2^(e-1) * (binary dot) + (modular dot).
     The coordinates are cut in two halves of about equal size; each half's
-    words are listed with their partial products (refused if they, or the
-    dual's words, pass the work limit); a dual word is a pair that cancels.
+    words are listed with their partial products (refused if they and the
+    dual's words hold too many objects); a dual word is a pair that cancels.
     """
     ambient = code._ambient
     split, low_bits = 0, 0  # the first half, of 2^low_bits words, the larger
     while 2 * low_bits < ambient.bits:
         low_bits += ambient.moduli[split].bit_length() - 1
         split += 1
-    check_work(max(1 << low_bits, (1 << ambient.bits) // len(code)), "dual_bruteforce (words)")
+    tables = (1 << low_bits) + (1 << (ambient.bits - low_bits))  # entries of the two half tables
+    check_work(3 * tables + (1 << ambient.bits) // len(code),
+               "dual_bruteforce (objects held: a tuple of two ints per table entry, an int per dual word)")
     n, top = code.alpha + code.beta, 1 << code.e
     gens, covered = [], frozenset([0])  # a generating subset, found greedily
     for w in code._packed:

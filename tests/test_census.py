@@ -167,7 +167,7 @@ def test_guard_refuses_before_building_anything():
 @pytest.mark.parametrize("walk", [census, enumerate_subgroups, verify_formula])
 @pytest.mark.parametrize("alpha,beta,e", [
     (15, 0, 3),  # 6.2 * 10^17 subgroups in 2^15 words
-    (0, 100, 3),  # 176,851 types, refused after the first few
+    (0, 100, 3),  # 176,851 types, refused before the first
     (1, 5, 3),  # 6.2 * 10^7 subgroups
 ])
 def test_guard_refuses_on_the_predicted_subgroups_at_once(walk, alpha, beta, e):
@@ -179,7 +179,7 @@ def test_guard_refuses_on_the_predicted_subgroups_at_once(walk, alpha, beta, e):
 
 def test_guard_lays_out_nothing_by_the_dimensions():
     # the types come one at a time: (0, 150, 3) has 585,276 of them and is
-    # refused at the second; the ambient's masks take linear time
+    # refused before the first; the ambient's masks take linear time
     tracemalloc.start()
     try:
         with pytest.raises(AmbientTooLargeError):
@@ -190,6 +190,18 @@ def test_guard_lays_out_nothing_by_the_dimensions():
     start = time.perf_counter()
     _Ambient(200_000, 200_000, 3)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("alpha,beta", [(15, 0), (10**6, 0), (0, 10**6)])
+def test_guard_refuses_before_any_count(monkeypatch, alpha, beta):
+    # the 2-torsion alone has too many subgroups: no count, such as
+    # [10^6; 1]_2 = 2^(10^6) - 1, is built to find that out
+    from z2z8 import counting
+
+    monkeypatch.setattr(counting, "count", lambda profile: pytest.fail(f"counted {profile}"))
+    for walk in (census, enumerate_subgroups, verify_formula):
+        with pytest.raises(AmbientTooLargeError, match="subgroups"):
+            walk(alpha, beta, 3)
 
 
 def test_verify_formula_counts_each_profile_once(monkeypatch):

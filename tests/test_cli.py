@@ -258,13 +258,22 @@ def test_sequence_usage_errors(capsys):
 
 def test_sequence_slot_too_large_for_an_index_is_usage_error(capsys):
     huge = "99999999999999999999"
-    # refused by the work guard: t1 at r = 10^20 counts a number of about 10^40 bits
+    # refused by the work guard of its count: t1 at r = 10^20 has about 10^40 bits
     code = main(["sequence", "t1", "--start", huge, "--end", huge])
     assert code == 3
-    assert capsys.readouterr().err.startswith("resource guard: sequence")
+    assert capsys.readouterr().err.startswith("resource guard: count")
     # types that are invalid at every index still print their zeros
     assert run(capsys, "sequence", "--exprs", f"{huge}r,1,{huge}r+1,0,0,0",
                "--start", "1", "--end", "2") == (0, "0\n0\n")
+
+
+def test_sequence_is_guarded_term_by_term(capsys):
+    # each term of t7 up to r = 400 is within the work limit, though their
+    # summed bits (about 2.1e7) are not
+    code, out = run(capsys, "sequence", "t7", "--start", "1", "--end", "400", "--format", "bfile")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 400 and lines[-1].startswith("400 ")
 
 
 def test_parse_affine():

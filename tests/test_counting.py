@@ -274,11 +274,7 @@ def test_count_allocates_nothing_for_empty_runs():
     # every run of (10^12, 1; 0, 0, 0, 0) is empty: a list of exponents as
     # long as alpha would not fit in memory
     assert count(TypeProfile(10**12, 1, 0, 0, 0, 0)) == 1
-
-
-def test_count_has_no_bound_on_alpha_beyond_its_work():
-    # (10^20, 1; 0, 0, 0, 0) has no exponent and no bit to lay out: no index
-    # limit on alpha refuses it
+    # nor is alpha bounded by anything but the work: 10^20 fits no index
     assert count(TypeProfile(10**20, 1, 0, 0, 0, 0)) == 1
 
 
