@@ -7,12 +7,12 @@ ordered-generator product formula and a closed form built from a power of
 two and Gaussian binomials/multinomials.  Every factor of both is
 2^i (2^j - 1), so `count` factors both, with no big integer, into a power
 of two times the same eight runs of 2^j - 1; it insists that the two
-formulas agree factor by factor, run by run, and then multiplies the
-integer out once from powers of Phi_d(2), the values at 2 of the
-cyclotomic polynomials, read off one list of exponents that is only as
-long as the longest run.  `count_product`
-evaluates the product formula in integers and stays the reference that the
-tests compare against, with the q-kernel in `qnum`.
+formulas agree factor by factor, run by run, reads the runs as the four
+Gaussian binomials [n; k]_2 of the closed form, and then multiplies the
+integer out once from the Phi_d(2), the values at 2 of the cyclotomic
+polynomials, that divide each of them.  `count_product` evaluates the
+product formula in integers and stays the reference that the tests
+compare against, with the q-kernel in `qnum`.
 
 Specializations cover linear codes over Z8, additive codes over Z2 x Z4,
 and the classical 2-binomial coefficients, plus the duality arithmetic
@@ -27,8 +27,6 @@ prints it.  The identity sweeps (`check_identities` and its records) live in
 from __future__ import annotations
 
 import functools
-from itertools import accumulate, compress
-from math import isqrt
 from typing import Iterator, NamedTuple
 
 from .errors import SelfCheckError, check_work
@@ -197,11 +195,14 @@ def count_product(profile: TypeProfile) -> CountBreakdown:
 
 
 def _product_factors(profile: TypeProfile) -> tuple[int, ...]:
-    """N1, N2, N3, N4, D1, D2, D3, D4 of the product formula; all 1 for invalid profiles."""
+    """N1, N2, N3, N4, D1, D2, D3, D4 of the product formula; all 1 for invalid profiles.
+    Refused first if their bits, at most twice the numerator's (Di <= Ni), pass the work limit."""
     if not profile.is_valid():
         return (1,) * 8
     a, b = profile.alpha, profile.beta
     k0, k1, k2, k3 = profile.ks
+    check_work(2 * (k0 * (a + b) + k1 * (3 * b + a) + k2 * (2 * b + a) + k3 * b),
+               "count --breakdown (the bits of its eight factors)")
 
     n1 = n2 = n3 = n4 = 1
     for i in range(k0):
@@ -244,7 +245,7 @@ def count_closed_form(profile: TypeProfile) -> int:
     """2^delta * [alpha; k0]_2 * [beta; k1,k2,k3]_2; 0 for invalid profiles."""
     if not profile.is_valid():
         return 0
-    return _evaluate(*_exponents(_closed_form(profile)))
+    return _evaluate(*_binomials(_closed_form(profile)))
 
 
 def count(profile: TypeProfile) -> int:
@@ -255,23 +256,24 @@ def count(profile: TypeProfile) -> int:
     formula must give the same power of two and the same runs in the same
     order, factor by factor.  That makes them agree as polynomials in q
     before q = 2 is put in, which is stronger than agreeing as integers.
-    A disagreement, or a negative exponent of 2 or of some Phi_d(2), the
-    value at 2 of the d-th cyclotomic polynomial, raises SelfCheckError (it
-    would mean a bug, not a bad input).  The integer is then built once from
-    the factorisation, whose list of exponents is only as long as the
-    longest run, and refused (AmbientTooLargeError) if that length or the
-    count's bits pass `errors.WORK_LIMIT`; a type whose runs are empty, such
-    as (10^20, 1; 0, 0, 0, 0), counts at once.  Invalid profiles count 0.
+    A disagreement, runs that are not four Gaussian binomials [n; k]_2, or
+    a negative exponent of 2 raises SelfCheckError (it would mean a bug,
+    not a bad input).  The count's bits, read off the binomials, are
+    refused (AmbientTooLargeError) past `errors.WORK_LIMIT`; the integer is
+    then built once from the Phi_d(2), the values at 2 of the cyclotomic
+    polynomials, that divide each binomial.  [n; 0]_2 and [n; n]_2 take no
+    step, so (10^20, 1; 0, 0, 0, 0) and (10^12, 0; 10^12, 0, 0, 0) count 1
+    at once.  Invalid profiles count 0.
     """
     if not profile.is_valid():
         return 0
     return _evaluate(*_agreed_form(profile))
 
 
-def _agreed_form(profile: TypeProfile) -> tuple[int, list[int]]:
-    """The factorisation (two, c) of the form (two, runs) on which the closed
-    form and the product formula agree run by run (valid profiles);
-    SelfCheckError if they do not."""
+def _agreed_form(profile: TypeProfile) -> tuple[int, list[tuple[int, int]]]:
+    """The power of two and the four Gaussian binomials (n, k) of the form
+    (two, runs) on which the closed form and the product formula agree run
+    by run (valid profiles); SelfCheckError if they do not."""
     closed = _closed_form(profile)
     product = _product_form(profile)
     if closed != product:
@@ -279,65 +281,50 @@ def _agreed_form(profile: TypeProfile) -> tuple[int, list[int]]:
             f"formula disagreement at {profile}: the closed form and the product formula "
             f"factor differently (exponent of 2: {closed[0]} vs {product[0]})"
         )
-    return _exponents(closed)
+    return _binomials(closed)
 
 
 # ---------------------------------------------------------------------------
 # factored evaluation
 # ---------------------------------------------------------------------------
 #
-# Every factor of both formulas is 2^i (2^j - 1), and 2^j - 1 is the product
-# of Phi_d(2) over the divisors d of j.  A formula is a form (two, runs): the
-# exponent of 2 and eight runs (lo, hi, sign), each the product of
-# (2^j - 1)^sign over lo < j <= hi, in the order N1..N4, D1..D4: the
-# numerator runs of [alpha; k0], [beta; k1], [beta-k1; k2] and
+# Every factor of both formulas is 2^i (2^j - 1).  A formula is a form
+# (two, runs): the exponent of 2 and eight runs (lo, hi, sign), each the
+# product of (2^j - 1)^sign over lo < j <= hi, in the order N1..N4, D1..D4:
+# the numerator runs of [alpha; k0], [beta; k1], [beta-k1; k2] and
 # [beta-k1-k2; k3], then the runs (0, k] of the denominators.  Both formulas
-# give these runs, so `_agreed_form` compares them one by one; equal runs
-# give equal exponents, but equal exponents need not come from equal runs.
+# give these runs, so `_agreed_form` compares them one by one, and
+# `_binomials` reads them back as four Gaussian binomials [n; k]_2, the
+# numerator run (n - k, n] over the denominator run (0, k].
 #
-# `_exponents` turns a form into (two, c): c[j], the net exponent of 2^j - 1
-# for 0 < j <= top (c[0] = 0), through a difference array, where top is the
-# largest hi of a non-empty run, so the list is only as long as the longest
-# run.  The exponent of Phi_d(2) is sum(c[d::d]), as a run adds
-# sign * (hi//d - lo//d) to it.
-#
-# `_evaluate` reads the exponents off c by one of two routes, whichever
-# takes fewer Python steps on the input:
-# - by slices: sum(c[d::d]) for d <= top/2, and c[d] itself for larger d,
-#   whose only multiple in range is d; about top/2 steps;
-# - by divisors: each non-zero c[j] added to the divisors of j, found by trial
-#   division; about isqrt(top) steps per non-zero c[j].
-# A Gaussian binomial [n; k]_2 with k or n - k small leaves few non-zero c[j]
-# however large n is, and then the second route costs far less.  It runs when
-# (non-zero c[j]) * isqrt(top) < top//2.  The leaves Phi_d(2)^e are then
-# multiplied in d order by one flat loop of pairwise products, level by
-# level, so that most products are of numbers of about equal size.
+# 2^j - 1 is the product of Phi_d(2) over the divisors d of j, so Phi_d(2)
+# divides a run once per multiple of d in it, and [n; k]_2 exactly
+# n//d - k//d - (n-k)//d times, which is 1 when n % d < k % d and 0
+# otherwise.  `_evaluate` lists those Phi_d(2), 2 <= d <= n, binomial by
+# binomial (Phi_1(2) = 1), and skips [n; 0]_2 and [n; n]_2, which are 1
+# however large n is.  For 0 < k < n that takes n - 1 <= k(n - k) steps,
+# and k(n - k) is the degree of [n; k]_q, so the guard on the count's bits,
+# two + sum k(n - k), bounds the loop too.  The leaves are then multiplied
+# by one flat loop of pairwise products, level by level, so that most
+# products are of numbers of about equal size.
 
 
-def _work(form: tuple[int, list]) -> tuple[int, int]:
-    """(top, work) of a form (two, runs), in O(8) steps: top is the largest hi
-    of a non-empty run, and work the larger of top and the count's bits,
-    two + sign * j summed over lo < j <= hi in each run."""
-    top, bits = 0, form[0]
-    for lo, hi, sign in form[1]:  # a plain loop: it compiles faster than a generator
-        if lo < hi:
-            bits += sign * (hi * (hi + 1) - lo * (lo + 1)) // 2
-            if hi > top:
-                top = hi
-    return top, max(top, bits)
-
-
-def _exponents(form: tuple[int, list]) -> tuple[int, list[int]]:
-    """(two, c[0..top]) of a form (two, runs) whose `_work` is within the limit."""
-    top, work = _work(form)
-    check_work(work, "count (the larger of its exponents and its bits)")
+def _binomials(form: tuple[int, list]) -> tuple[int, list[tuple[int, int]]]:
+    """(two, the four pairs (n, k)) of a form (two, runs) whose runs are the
+    numerator runs (n - k, n] of four Gaussian binomials [n; k]_2,
+    0 <= k <= n, then their denominator runs (0, k]; SelfCheckError for any
+    other runs, and AmbientTooLargeError if the count's bits pass the work
+    limit."""
     two, runs = form
-    c = [0] * (top + 2)
-    for lo, hi, sign in runs:
-        if lo < hi:
-            c[lo + 1] += sign
-            c[hi + 1] -= sign
-    return two, list(accumulate(c[: top + 1]))
+    bits, binomials = two, []
+    for (lo, n, sign), (zero, k, inverse) in zip(runs[:4], runs[4:]):  # a plain loop: twice as fast as comprehensions
+        if lo == n - k and sign == 1 and zero == 0 and inverse == -1 and 0 <= k <= n:
+            bits += k * (n - k)
+            binomials.append((n, k))
+    if len(binomials) != 4 or len(runs) != 8:
+        raise SelfCheckError(f"the runs {runs} are not four Gaussian binomials, (n - k, n] over (0, k]")
+    check_work(bits, "count (its bits)")
+    return two, binomials
 
 
 def _closed_form(profile: TypeProfile) -> tuple[int, list]:
@@ -407,63 +394,35 @@ def _phi2(d: int) -> int:
     return phi
 
 
-def _evaluate(two: int, c: list[int]) -> int:
-    """2^two times the product over d of Phi_d(2)^e, e = sum(c[d::d]); the
-    exponents by slices or by divisors, whichever costs fewer steps here."""
-    top = len(c) - 1
-    half = top // 2
-    # with a non-zero c[j], the divisors need isqrt(top) < top//2, which
-    # first holds at top = 6: a shorter c takes the slices uncounted
-    if half > 2 and (len(c) - c.count(0)) * isqrt(top) < half:
-        exponents = _divisor_exponents(c)
-    else:
-        sums = c[:]  # sum(c[d::d]) is c[d] for d > top/2
-        for d in range(1, half + 1):
-            sums[d] = sum(c[d::d])
-        exponents = compress(enumerate(sums), sums)
-    leaves = []
-    for d, e in exponents:
-        if e < 0:
-            raise SelfCheckError(f"Phi_{d}(2) has exponent {e}: the quotient is not a polynomial in 2")
-        if d > 1:
-            leaves.append(_phi2(d) ** e)
+def _evaluate(two: int, binomials: list[tuple[int, int]]) -> int:
+    """2^two times the Gaussian binomials [n; k]_2 of `_binomials`, each the
+    product of the Phi_d(2) with 2 <= d <= n and n % d < k % d."""
     if two < 0:
         raise SelfCheckError(f"the power of two has exponent {two}")
-    n, step = len(leaves), 1
-    while step < n:  # leaves[i] becomes the product of leaves[i : i + 2 * step]
-        for i in range(0, n - step, 2 * step):
+    leaves = [_phi2(d) for n, k in binomials if 0 < k < n for d in range(2, n + 1) if n % d < k % d]
+    size, step = len(leaves), 1
+    while step < size:  # leaves[i] becomes the product of leaves[i : i + 2 * step]
+        for i in range(0, size - step, 2 * step):
             leaves[i] *= leaves[i + step]
         step *= 2
     return (leaves[0] if leaves else 1) << two
-
-
-def _divisor_exponents(c: list[int]) -> list[tuple[int, int]]:
-    """(d, sum(c[d::d])) for each d with a non-zero sum, in increasing d: each
-    non-zero c[j] is added to the divisors of j, found by trial division."""
-    e: dict[int, int] = {}
-    for j in compress(range(len(c)), c):  # no (j, c[j]) pair for each zero
-        for d in range(1, isqrt(j) + 1):
-            if not j % d:
-                e[d] = e.get(d, 0) + c[j]
-                if d * d < j:
-                    e[j // d] = e.get(j // d, 0) + c[j]
-    return sorted(item for item in e.items() if item[1])
 
 
 def count_z8(n: int, k1: int, k2: int, k3: int) -> int:
     """Number of distinct linear codes of type (k1,k2,k3) over Z8^n.
 
     Equal to count(1, n; 1, k1, k2, k3) divided by 2^(n - k1 - k2 - k3).
-    The division comes off the exponent of 2 of the factorisation, and
-    `_evaluate` raises SelfCheckError if that exponent goes negative.
+    The division comes off the power of two that `_agreed_form` gives with
+    the four binomials, and `_evaluate` raises SelfCheckError if that
+    exponent goes negative.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     profile = TypeProfile(1, n, 1, k1, k2, k3)
     if not profile.is_valid():
         return 0
-    two, c = _agreed_form(profile)
-    return _evaluate(two - (n - profile.l), c)
+    two, binomials = _agreed_form(profile)
+    return _evaluate(two - (n - profile.l), binomials)
 
 
 def count_z2z4(alpha: int, beta: int, k0: int, k1: int, k2: int) -> int:

@@ -167,14 +167,32 @@ def test_count_slot_too_large_for_an_index_is_usage_error(capsys):
 
 @pytest.mark.parametrize("slots", [
     (10**12, 1, 0, 0, 1, 0),  # 2^(10^12) codes: a count of 10^12 bits
-    (10**9, 1, 1, 0, 0, 0),  # [10^9; 1]_2: 10^9 exponents and bits
-    (10**12, 0, 10**12, 0, 0, 0),  # 1 code, yet runs (0, 10^12] that cancel
+    (10**9, 1, 1, 0, 0, 0),  # [10^9; 1]_2: about 10^9 bits
 ])
 def test_count_too_large_to_build_is_refused_without_a_traceback(capsys, slots):
     names = ("--alpha", "--beta", "--k0", "--k1", "--k2", "--k3")
     assert main(["count", *(x for pair in zip(names, map(str, slots)) for x in pair)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("resource guard: count") and "Traceback" not in err
+
+
+def test_count_whose_runs_cancel_prints_one(capsys):
+    # [10^12; 10^12]_2 = 1: its runs (0, 10^12] are long, but the binomial takes no step
+    assert run(capsys, "count", "--alpha", "1000000000000", "--beta", "0", "--k0", "1000000000000",
+               "--k1", "0", "--k2", "0", "--k3", "0") == (0, "1\n")
+
+
+def test_count_breakdown_is_refused_on_the_bits_of_its_factors(capsys):
+    start = time.perf_counter()
+    assert main(["count", "--alpha", "100000", "--beta", "0", "--k0", "50000",
+                 "--k1", "0", "--k2", "0", "--k3", "0", "--breakdown"]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("resource guard: count")
+    # a count of 1 whose factors N1 = D1 have about 9 * 10^6 bits each
+    flags = ["--alpha", "3000", "--beta", "0", "--k0", "3000", "--k1", "0", "--k2", "0", "--k3", "0"]
+    assert run(capsys, "count", *flags) == (0, "1\n")
+    assert main(["count", *flags, "--breakdown"]) == 3
+    assert capsys.readouterr().err.startswith("resource guard: count --breakdown")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from z2z8.counting import (
     self_dual_count_condition,
     valid_profiles,
 )
-from z2z8.errors import SelfCheckError
+from z2z8.errors import AmbientTooLargeError, SelfCheckError
 from z2z8.qnum import q_binomial, q_multinomial
 
 
@@ -177,39 +177,44 @@ def test_the_two_forms_give_the_same_runs_in_factor_order(monkeypatch):
         return two, runs[::-1]
 
     monkeypatch.setattr(counting, "_product_form", reordered)
-    assert counting._exponents(counting._product_form(p)) == counting._exponents(counting._closed_form(p))
+    assert sorted(counting._product_form(p)[1]) == sorted(counting._closed_form(p)[1])
     with pytest.raises(SelfCheckError, match="formula disagreement"):
         count(p)
 
 
 def test_negative_cyclotomic_exponent_raises(monkeypatch):
-    # (2^2 - 1) / (2^3 - 1) gives Phi_3(2) the exponent -1: not an integer
-    not_integral = (0, [(1, 2, 1), (2, 3, -1)])
-    monkeypatch.setattr(counting, "_closed_form", lambda profile: not_integral)
-    monkeypatch.setattr(counting, "_product_form", lambda profile: not_integral)
-    with pytest.raises(SelfCheckError, match="exponent -1"):
-        count(TypeProfile(4, 4, 1, 1, 1, 1))
+    # (2^2 - 1) / (2^3 - 1) would give Phi_3(2) the exponent -1, and the
+    # binomials' runs in another order are no binomials: both are refused
+    # before any exponent is read, since only four Gaussian binomials
+    # [n; k]_2 are sure to be polynomials in 2
+    p = TypeProfile(4, 5, 2, 1, 1, 1)
+    two, runs = counting._closed_form(p)
+    for form in ((0, [(1, 2, 1), (2, 3, -1)]), (two, runs[::-1]), (two, runs[:4] + runs[5:] + runs[4:5])):
+        monkeypatch.setattr(counting, "_closed_form", lambda profile: form)
+        monkeypatch.setattr(counting, "_product_form", lambda profile: form)
+        with pytest.raises(SelfCheckError, match="not four Gaussian binomials"):
+            count(p)
+        with pytest.raises(SelfCheckError, match="not four Gaussian binomials"):
+            count_closed_form(p)
 
 
-def test_negative_cyclotomic_exponent_raises_on_the_divisor_route(monkeypatch):
-    # the same quotient with a cancelling pair of runs up to j = 1,000: c has
-    # 1,001 entries, two of them non-zero, the exponents come from the
-    # divisors of 2 and 3, and Phi_3(2) gets -1
-    not_integral = (0, [(1, 2, 1), (2, 3, -1), (0, 1000, 1), (0, 1000, -1)])
-    divisor_route, routed = counting._divisor_exponents, []
-    monkeypatch.setattr(counting, "_divisor_exponents", lambda c: routed.append(c) or divisor_route(c))
-    monkeypatch.setattr(counting, "_closed_form", lambda profile: not_integral)
-    monkeypatch.setattr(counting, "_product_form", lambda profile: not_integral)
-    with pytest.raises(SelfCheckError, match="exponent -1"):
-        count(TypeProfile(4, 4, 1, 1, 1, 1))
-    assert routed == [[0, 0, 1, -1] + [0] * 997]
+def test_phi_d_divides_a_gaussian_binomial_once_exactly_when_n_mod_d_is_below_k_mod_d():
+    # the multiples of d in (n - k, n] less those in (0, k] number 0 or 1,
+    # and 1 exactly when n % d < k % d: the whole of `_evaluate`'s criterion
+    for n in range(301):
+        for d in range(2, n + 1):
+            exponents = [n // d - k // d - (n - k) // d for k in range(n + 1)]
+            assert exponents == [int(n % d < k % d) for k in range(n + 1)], (n, d)
 
 
-def naive_evaluate(two, c):
-    """(product over d >= 2 of Phi_d(2)^sum(c[d::d])) << two, one factor at a time."""
+def naive_evaluate(two, runs):
+    """(product over d >= 2 of Phi_d(2)^e) << two, one factor at a time, where
+    e = sum(sign * (hi//d - lo//d)) counts the multiples of d in the runs."""
     value = 1
-    for d in range(2, len(c)):
-        value *= counting._phi2(d) ** sum(c[d::d])
+    for d in range(2, max((hi for lo, hi, _ in runs if lo < hi), default=1) + 1):
+        e = sum(sign * (hi // d - lo // d) for lo, hi, sign in runs if lo < hi)
+        assert e >= 0, (d, e)
+        value *= counting._phi2(d) ** e
     return value << two
 
 
@@ -232,32 +237,14 @@ def sparse_profile(rng):
     return TypeProfile(alpha, beta, near(alpha), k1, k2, near(beta - k1 - k2))
 
 
-def test_evaluate_is_the_naive_product_on_both_routes(monkeypatch):
-    # small profiles mostly take the exponents by slices, large sparse ones by
-    # divisors; either way the count is the product of every Phi_d(2)^e
-    divisor_route, routed = counting._divisor_exponents, []
-    monkeypatch.setattr(counting, "_divisor_exponents", lambda c: routed.append(c) or divisor_route(c))
+def test_evaluate_is_the_naive_product():
+    # on small profiles and on large sparse ones, the count from the four
+    # binomials is the product of every Phi_d(2)^e, e read off the runs
     rng = random.Random(2013)
-    by_divisors = []
     for draw in (small_profile, sparse_profile):
-        routed.clear()
         for _ in range(150):
             p = draw(rng)
-            form = counting._agreed_form(p)
-            assert counting._evaluate(*form) == naive_evaluate(*form), p
-        by_divisors.append(len(routed))
-    assert by_divisors[0] < 20 and by_divisors[1] == 150, by_divisors
-
-
-def test_divisor_route_is_the_slice_sums():
-    # random sparse c, with negative entries and exponents that cancel to 0
-    rng = random.Random(17)
-    for _ in range(300):
-        c = [0] * rng.randint(2, 400)
-        for _ in range(rng.randint(0, 6)):
-            c[rng.randrange(1, len(c))] += rng.choice((-2, -1, 1, 2))
-        sums = [(d, sum(c[d::d])) for d in range(1, len(c))]
-        assert counting._divisor_exponents(c) == [(d, e) for d, e in sums if e], c
+            assert counting._evaluate(*counting._agreed_form(p)) == naive_evaluate(*counting._closed_form(p)), p
 
 
 def test_count_needs_no_table_up_to_beta():
@@ -271,11 +258,33 @@ def test_count_needs_no_table_up_to_beta():
 
 
 def test_count_allocates_nothing_for_empty_runs():
-    # every run of (10^12, 1; 0, 0, 0, 0) is empty: a list of exponents as
-    # long as alpha would not fit in memory
+    # every run of (10^12, 1; 0, 0, 0, 0) is empty: a loop or a list as long
+    # as alpha would not end or fit in memory
     assert count(TypeProfile(10**12, 1, 0, 0, 0, 0)) == 1
     # nor is alpha bounded by anything but the work: 10^20 fits no index
     assert count(TypeProfile(10**20, 1, 0, 0, 0, 0)) == 1
+    # [10^12; 10^12]_2 = 1 takes no step, although its runs (0, 10^12] are long
+    start = time.perf_counter()
+    assert count(TypeProfile(10**12, 0, 10**12, 0, 0, 0)) == 1
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("profile", [
+    (2 * 10**7, 1, 1, 0, 0, 0),  # [2 * 10^7; 1]_2 as [alpha; k0]_2
+    (0, 2 * 10**7, 0, 1, 2 * 10**7 - 1, 0),  # as [beta; k1]_2
+    (0, 2 * 10**7, 0, 0, 1, 2 * 10**7 - 1),  # as [beta-k1; k2]_2
+    (0, 2 * 10**7, 0, 0, 0, 1),  # as [beta-k1-k2; k3]_2
+])
+def test_each_binomial_counts_toward_the_guard(profile, monkeypatch):
+    # each type's power of two is at most 1 and three of its binomials are 1:
+    # the one [2 * 10^7; 1]_2, about 2 * 10^7 bits, alone must refuse it
+    # before any Phi_d(2) is built
+    def unguarded(d):
+        raise AssertionError(f"Phi_{d}(2) built past the guard")
+
+    monkeypatch.setattr(counting, "_phi2", unguarded)
+    with pytest.raises(AmbientTooLargeError, match="^count"):
+        count(TypeProfile(*profile))
 
 
 def test_invalid_profiles_count_zero():
