@@ -282,6 +282,8 @@ def cmd_matrix(args) -> tuple[int, str]:
     ks = (args.k0, args.k1, args.k2, args.k3)[: args.e + 1]
     try:
         m = codes._standard_form(args.alpha, args.beta, ks, args.e, None if args.zero else args.seed)
+    except AmbientTooLargeError:
+        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

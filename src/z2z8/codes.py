@@ -4,20 +4,22 @@ Words carry a binary segment and a modular segment.  Inside this module a
 word is a packed integer, 4 bits per coordinate, and `_Ambient` is the only
 code that knows that format (other modules place values by `_Ambient.axes`);
 `MixedWord` is the view used for input and output, and its arithmetic is
-the reference the packed kernel is tested against.  Generator matrices in
-standard block form are assembled from their named free blocks, spans are
-materialized explicitly, and an arbitrary subgroup can be classified back
-to its type from its torsion sizes alone.  The parity-check matrix of a
-standard form is read off (U^-1)^T, where U is the unitriangular matrix
-that the A_ij blocks form; it is validated behaviorally against
-`dual_bruteforce`, which searches the ambient group exhaustively.
+the reference the packed kernel is tested against.  Both rings take one
+path, on a type ks = (k0, k_1, ..., k_e) as in `counting`: `_standard_form`
+builds a standard form from its named free blocks, `_classify` reads any
+subgroup's type off its torsion sizes, and the public wrappers only fix the
+ring or the shape of a result.  Spans are materialized explicitly.  The
+parity-check matrix of a standard form is read off (U^-1)^T, where U is the
+unitriangular matrix that the A_ij blocks form; it is validated
+behaviorally against `dual_bruteforce`, which searches the ambient group
+exhaustively.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -39,7 +41,6 @@ __all__ = [
     "random_standard_form",
     "random_standard_form_z4",
     "zero_standard_form",
-    "zero_standard_form_z4",
     "ambient_words",
     "format_matrix",
     "format_words",
@@ -335,7 +336,14 @@ def _torsion_sizes(words: Iterable[int], ambient: _Ambient) -> tuple[int, ...]:
 
 
 def _type_from_sizes(sizes: tuple[int, ...], e: int) -> tuple[int, ...]:
-    """The type (k0, k_1, ..., k_e) read off torsion sizes; see `classify_type`."""
+    """The type (k0, k_1, ..., k_e) read off torsion sizes (s_1, ..., s_e, z).
+
+    With 2^s_j elements killed by 2^j and 2^z order <= 2 elements with zero
+    binary part, s_j - s_(j-1) counts the cyclic factors of order above
+    2^(j-1), so k_1 + ... + k_i = s_(e-i+1) - s_(e-i) for i < e,
+    k_1 + ... + k_e = z, and k0 = s_1 - z.  `census` carries the same sizes
+    down its coordinate walk instead of counting words, and types each once.
+    """
     *s, z = sizes  # s[t - 1] = s_t
     tops = [0] + [s[e - i] - s[e - i - 1] for i in range(1, e)] + [z]
     ks = (s[0] - z, *(b - a for a, b in zip(tops, tops[1:])))
@@ -344,18 +352,15 @@ def _type_from_sizes(sizes: tuple[int, ...], e: int) -> tuple[int, ...]:
     return ks
 
 
-def classify_type(code: Code):
-    """Recover the type of a subgroup from torsion sizes.
+def _classify(code: Code) -> tuple[int, ...]:
+    """The type ks of any subgroup over either ring, basis-free: read off its torsion sizes."""
+    return _type_from_sizes(_torsion_sizes(code._packed, code._ambient), code.e)
 
-    For e = 3 returns a TypeProfile; for e = 2 returns the triple
-    (k0, k1, k2).  Works on any subgroup, basis-free: with 2^s_j elements
-    killed by 2^j and 2^z order <= 2 elements with zero binary part,
-    s_j - s_(j-1) counts the cyclic factors of order above 2^(j-1), so
-    k_1 + ... + k_i = s_(e-i+1) - s_(e-i) for i < e, k_1 + ... + k_e = z,
-    and k0 = s_1 - z.  `census` carries the same sizes down its coordinate
-    walk instead of counting words (`_torsion_sizes`), and types each once.
-    """
-    ks = _type_from_sizes(_torsion_sizes(code._packed, code._ambient), code.e)
+
+def classify_type(code: Code):
+    """The type of a subgroup (`_classify`) in its public shape: a
+    TypeProfile for e = 3, the bare (k0, k1, k2) for e = 2."""
+    ks = _classify(code)
     return TypeProfile(code.alpha, code.beta, *ks) if code.e == 3 else ks
 
 
@@ -435,12 +440,6 @@ class StandardFormMatrix(_StandardFormFields):
     def __hash__(self) -> int:  # the mapping of blocks is unhashable
         return hash((self.alpha, self.beta, self.e, self.ks, tuple(sorted(self.blocks.items()))))
 
-    @property
-    def profile(self) -> TypeProfile:
-        if self.e != 3:
-            raise ValueError("TypeProfile view only exists for e = 3")
-        return TypeProfile(self.alpha, self.beta, *self.ks)
-
 
 def _unit(n: int, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(n))
@@ -474,7 +473,10 @@ def _standard_form(alpha: int, beta: int, ks: tuple[int, ...], e: int,
                    seed: int | None) -> StandardFormMatrix:
     """Standard form whose free blocks are all zero (seed None) or drawn
     uniformly by random.Random(seed), block by block in name order and row by
-    row within a block."""
+    row within a block; the one builder for both rings.  Refused before any
+    entry is drawn if its k0 + l rows of alpha + beta entries are too many."""
+    _validate_ks(alpha, beta, ks, e)
+    check_work((ks[0] + sum(ks[1:])) * (alpha + beta), "standard form (the entries of its rows)")
     entry = (lambda m: 0) if seed is None else random.Random(seed).randrange
     shapes = sorted(_block_shapes(alpha, beta, ks, e).items())
     return StandardFormMatrix(alpha, beta, e, ks, {
@@ -486,10 +488,6 @@ def _standard_form(alpha: int, beta: int, ks: tuple[int, ...], e: int,
 def zero_standard_form(profile: TypeProfile) -> StandardFormMatrix:
     """Standard form over Z8 columns with every free block zero."""
     return _standard_form(profile.alpha, profile.beta, profile.ks, 3, None)
-
-
-def zero_standard_form_z4(alpha: int, beta: int, k0: int, k1: int, k2: int) -> StandardFormMatrix:
-    return _standard_form(alpha, beta, (k0, k1, k2), 2, None)
 
 
 def random_standard_form(profile: TypeProfile, seed: int) -> StandardFormMatrix:
@@ -529,11 +527,16 @@ def parity_check(matrix: StandardFormMatrix) -> ParityCheckMatrix:
     - for each stripe j = e, ..., 1, the rows 2^(e-j) W_j, with -T0e^T on the
       binary part of stripe e.
     The row stripes have the sizes `counting._dual_ks` gives.  Entries are
-    reduced mod 2 on binary columns and mod 2^e on the others.
+    reduced mod 2 on binary columns and mod 2^e on the others.  Refused
+    before anything is built if the dual's entries plus the substitution's
+    entry updates, read off the loop bounds below and cubic in beta, are too many.
     """
     alpha, beta, e, ks, blocks = matrix.alpha, matrix.beta, matrix.e, matrix.ks, matrix.blocks
     mod, r0 = 1 << e, alpha - ks[0]
     widths = (*ks[1:], beta - sum(ks[1:]))  # modular column stripes k_1..k_e, r_e
+    check_work((r0 + beta - ks[1]) * (alpha + beta)
+               + beta * (beta + sum(a * b for a, b in combinations(widths, 2)) + r0 * sum(ks[1:e])),
+               "parity_check (the dual's entries and its substitution's entry updates)")
     starts = tuple(accumulate(widths, initial=0))
     w: list[tuple[int, ...]] = []  # the rows of W
 

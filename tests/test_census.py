@@ -19,7 +19,7 @@ from z2z8.census import (
     formula_census,
     verify_formula,
 )
-from z2z8.codes import Code, MixedWord, _Ambient, _torsion_sizes, classify_type, span
+from z2z8.codes import Code, MixedWord, _Ambient, _classify, _torsion_sizes, classify_type, span
 from z2z8.errors import AmbientTooLargeError
 
 
@@ -248,10 +248,9 @@ def test_census_streams_the_subgroups():
 
 @pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
 def test_census_matches_per_subgroup_classification(alpha, beta, e):
-    # reference: one Code and one classify_type per subgroup, no sizes tally
+    # reference: one Code and one _classify per subgroup, no sizes tally
     ambient = _Ambient(alpha, beta, e)
-    types = (classify_type(Code._from_packed(ambient, s)) for s in walked_subgroups(ambient))
-    expected = Counter(t.ks if e == 3 else t for t in types)
+    expected = Counter(_classify(Code._from_packed(ambient, s)) for s in walked_subgroups(ambient))
     c = census(alpha, beta, e)
     assert c.counts == dict(expected)
     assert c.total_subgroups == sum(expected.values())

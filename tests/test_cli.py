@@ -462,6 +462,20 @@ def test_matrix_span_guard(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("flags,what", [
+    # 10^4 rows of 2 * 10^4 entries each
+    (("--alpha", "20000", "--beta", "0", "--k0", "10000", "--k1", "0", "--k2", "0"), "standard form"),
+    # the parity check's substitution: 3.9 * 10^8 entry updates, cubic in beta
+    (("--alpha", "0", "--beta", "2000", "--k0", "0", "--k1", "100", "--k2", "0", "--parity"), "parity_check"),
+], ids=["rows", "parity"])
+def test_matrix_too_large_to_build_is_refused_at_once(capsys, flags, what):
+    start = time.perf_counter()
+    assert main(["matrix", *flags]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"resource guard: {what}") and "Traceback" not in err
+
+
 def test_matrix_span_guards_the_code_not_the_ambient(capsys):
     # codes of 2 and 1 words in ambients of 2^16 words are listed
     code, out = run(capsys, "matrix", "--alpha", "16", "--beta", "0", "--k0", "1",

@@ -1,10 +1,14 @@
 """Tests for words, standard forms, spans, classification and duality."""
 
 import hashlib
+import time
+from itertools import product
 
 import pytest
 
 from z2z8.codes import (
+    _classify,
+    _standard_form,
     _torsion_sizes,
     _type_from_sizes,
     Code,
@@ -24,9 +28,8 @@ from z2z8.codes import (
     random_standard_form_z4,
     span,
     zero_standard_form,
-    zero_standard_form_z4,
 )
-from z2z8.counting import TypeProfile, _dual_ks, dual_type, valid_profiles
+from z2z8.counting import TypeProfile, _dual_ks, _valid_ks, dual_type, valid_profiles
 from z2z8.errors import AmbientTooLargeError, NotASubgroupError
 
 
@@ -88,9 +91,18 @@ def test_inner_product_dimension_mismatch():
 # standard forms and assembly
 # ---------------------------------------------------------------------------
 
+def _assert_zero_blocks(e):
+    # (2,2;1,1,1,0) over Z8 and (2,2;1,1,1) over Z4 have the same rows
+    rows = assemble(_standard_form(2, 2, (1, 1, 1, 0)[: e + 1], e, None))
+    assert rows == [W([1, 0], [0, 0], e), W([0, 0], [1, 0], e), W([0, 0], [0, 2], e)]
+
+
 def test_assemble_zero_blocks():
-    rows = assemble(zero_standard_form(TypeProfile(2, 2, 1, 1, 1, 0)))
-    assert rows == [W([1, 0], [0, 0]), W([0, 0], [1, 0]), W([0, 0], [0, 2])]
+    _assert_zero_blocks(3)
+
+
+def test_assemble_zero_blocks_z4():
+    _assert_zero_blocks(2)
 
 
 def test_assemble_block_placement():
@@ -99,11 +111,6 @@ def test_assemble_block_placement():
     blocks["Abar01"] = ((1,),)
     m2 = StandardFormMatrix(2, 2, 3, (1, 1, 1, 0), blocks)
     assert assemble(m2)[0] == W([1, 1], [0, 0])
-
-
-def test_assemble_zero_blocks_z4():
-    rows = assemble(zero_standard_form_z4(2, 2, 1, 1, 1))
-    assert rows == [W([1, 0], [0, 0], 2), W([0, 0], [1, 0], 2), W([0, 0], [0, 2], 2)]
 
 
 def test_assemble_scales_stripes():
@@ -126,6 +133,24 @@ def test_standard_form_shape_validation():
         StandardFormMatrix(2, 2, 3, (1, 1, 1, 0), blocks)
     with pytest.raises(ValueError):
         zero_standard_form(TypeProfile(3, 2, 4, 0, 0, 0))  # k0 > alpha
+
+
+def test_standard_form_refuses_too_many_entries_before_drawing_any():
+    start = time.perf_counter()
+    with pytest.raises(AmbientTooLargeError, match="^standard form"):
+        _standard_form(20000, 0, (10000, 0, 0, 0), 3, 0)  # 10^4 rows of 2 * 10^4 entries
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="not realizable"):  # validated first
+        _standard_form(20000, 0, (30000, 0, 0, 0), 3, 0)
+
+
+def test_parity_check_refuses_a_cubic_substitution_at_once():
+    # (0,2000;0,100,0,0): 3.9 * 10^8 entry updates; its generator matrix is cheap
+    m = random_standard_form(TypeProfile(0, 2000, 0, 100, 0, 0), 0)
+    start = time.perf_counter()
+    with pytest.raises(AmbientTooLargeError, match="^parity_check"):
+        parity_check(m)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_standard_form_is_hashable_and_read_only():
@@ -185,8 +210,11 @@ def test_span_of_worked_example_has_64_words():
 
 
 def test_classify_trivial_code():
-    c = span([], alpha=0, beta=2, e=3)
-    assert classify_type(c) == TypeProfile(0, 2, 0, 0, 0, 0)
+    # the public shapes: a TypeProfile over Z8, the bare ks over Z4
+    found = classify_type(span([], alpha=0, beta=2, e=3))
+    assert type(found) is TypeProfile and found == TypeProfile(0, 2, 0, 0, 0, 0)
+    found = classify_type(span([], alpha=0, beta=2, e=2))
+    assert type(found) is tuple and found == (0, 0, 0)
 
 
 def test_classify_single_binary_generator():
@@ -228,26 +256,21 @@ def test_forged_word_sets_are_refused(alpha, beta, words, message):
     assert str(code.value) == message
 
 
+def _assert_classify_round_trips(e):
+    # every realizable type with alpha, beta <= 3
+    for alpha, beta in product(range(4), range(4)):
+        for ks, seed in product(_valid_ks(alpha, beta, e), range(20)):
+            c = span(assemble(_standard_form(alpha, beta, ks, e, seed)), alpha=alpha, beta=beta, e=e)
+            assert len(c) == 2 ** (ks[0] + sum(k * (e - i) for i, k in enumerate(ks[1:])))
+            assert _classify(c) == ks, (alpha, beta, e, ks, seed)
+
+
 def test_classify_round_trip_all_small_profiles():
-    for p in valid_profiles(3, 3):
-        for seed in range(20):
-            rows = assemble(random_standard_form(p, seed))
-            c = span(rows, alpha=p.alpha, beta=p.beta, e=3)
-            assert len(c) == 2 ** (p.k0 + 3 * p.k1 + 2 * p.k2 + p.k3)
-            assert classify_type(c) == p, (p, seed)
+    _assert_classify_round_trips(3)
 
 
 def test_classify_round_trip_z4():
-    for alpha in range(3):
-        for beta in range(3):
-            for k0 in range(alpha + 1):
-                for k1 in range(beta + 1):
-                    for k2 in range(beta - k1 + 1):
-                        for seed in range(10):
-                            m = random_standard_form_z4(alpha, beta, k0, k1, k2, seed=seed)
-                            c = span(assemble(m), alpha=alpha, beta=beta, e=2)
-                            assert len(c) == 2 ** (k0 + 2 * k1 + k2)
-                            assert classify_type(c) == (k0, k1, k2)
+    _assert_classify_round_trips(2)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ imported every module.
 """
 
 import functools
+import importlib
 import json
 import subprocess
 import sys
@@ -157,6 +158,13 @@ def test_each_public_name_is_its_defining_modules_object():
         value = getattr(z2z8, name)
         assert value.__module__.startswith("z2z8.")
         assert getattr(sys.modules[value.__module__], name) is value
+
+
+@pytest.mark.parametrize("module", ["codes", "counting", "census", "identities", "qnum", "cli"])
+def test_each_modules_all_resolves(module):
+    # a name deleted from a module but left in its __all__ would break its star import
+    mod = importlib.import_module(f"z2z8.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_star_import_and_dir_list_every_public_name():

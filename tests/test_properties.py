@@ -14,19 +14,19 @@ from z2z8.census import _walk
 from z2z8.codes import (
     MixedWord,
     _Ambient,
+    _classify,
+    _standard_form,
     ambient_words,
     assemble,
-    classify_type,
     dual_bruteforce,
     inner_product,
     parity_check,
     phi_reduce,
-    random_standard_form,
-    random_standard_form_z4,
     span,
 )
 from z2z8.counting import (
     TypeProfile,
+    _valid_ks,
     count,
     count_dual,
     count_product,
@@ -142,50 +142,29 @@ def test_walk_yields_each_span_once(case):
 
 
 @st.composite
-def standard_form_cases(draw):
-    e = draw(st.sampled_from((2, 3)))
-    alpha, beta = draw(st.integers(0, 2)), draw(st.integers(0, 3 if e == 3 else 4))
-    k0 = draw(st.integers(0, alpha))
-    ks = [0] * e
-    for i in draw(st.permutations(range(e))):
-        ks[i] = draw(st.integers(0, beta - sum(ks)))
-    return alpha, beta, e, (k0, *ks), draw(st.integers(0, 2**16))
-
-
-@few
-@given(standard_form_cases())
-def test_classify_round_trips_standard_forms(case):
-    alpha, beta, e, ks, seed = case
-    if e == 3:
-        expected = TypeProfile(alpha, beta, *ks)
-        m = random_standard_form(expected, seed)
-    else:
-        expected = ks
-        m = random_standard_form_z4(alpha, beta, *ks, seed=seed)
-    assert classify_type(span(assemble(m), alpha=alpha, beta=beta, e=e)) == expected
-
-
-@st.composite
 def standard_forms(draw, max_bits=12):
-    """(alpha, beta, e, ks, seed): a realizable profile over Z2^alpha x Z_{2^e}^beta
-    with alpha + e * beta <= max_bits."""
+    """(alpha, beta, e, ks, seed): a realizable type over Z2^alpha x Z_{2^e}^beta
+    with alpha + e * beta <= max_bits, ks drawn from `_valid_ks`."""
     e = draw(st.sampled_from((2, 3)))
     beta = draw(st.integers(0, max_bits // e))
     alpha = draw(st.integers(0, max_bits - e * beta))
-    ks = [draw(st.integers(0, alpha))]
-    for _ in range(e):
-        ks.append(draw(st.integers(0, beta - sum(ks[1:]))))
-    return alpha, beta, e, tuple(ks), draw(st.integers(0, 2**16))
+    ks = draw(st.sampled_from(list(_valid_ks(alpha, beta, e))))
+    return alpha, beta, e, ks, draw(st.integers(0, 2**16))
+
+
+@few
+@given(standard_forms())
+def test_classify_round_trips_standard_forms(case):
+    alpha, beta, e, ks, seed = case
+    m = _standard_form(alpha, beta, ks, e, seed)
+    assert _classify(span(assemble(m), alpha=alpha, beta=beta, e=e)) == ks
 
 
 @few
 @given(standard_forms())
 def test_parity_rows_span_the_dual(case):
     alpha, beta, e, ks, seed = case
-    if e == 3:
-        m = random_standard_form(TypeProfile(alpha, beta, *ks), seed)
-    else:
-        m = random_standard_form_z4(alpha, beta, *ks, seed=seed)
+    m = _standard_form(alpha, beta, ks, e, seed)
     h = span(list(parity_check(m).rows), alpha=alpha, beta=beta, e=e)
     assert h == dual_bruteforce(span(assemble(m), alpha=alpha, beta=beta, e=e))
 
@@ -215,7 +194,8 @@ def profiles(draw, max_size=60):
 def sparse_profiles(draw, max_size=3000):
     """Valid type profiles with alpha, beta <= max_size and each k in
     {0, 1, 2} or within 2 of its bound: every Gaussian binomial is [n; k]_2
-    with k or n - k at most 2, so `count` reads its exponents by divisors."""
+    with k or n - k at most 2.  `count` takes each as the product of the
+    Phi_d(2) with n % d < k % d, and here every such d divides n or n - 1."""
     def near(bound):
         return draw(st.sampled_from([k for k in (0, 1, 2, bound - 2, bound - 1, bound) if 0 <= k <= bound]))
 

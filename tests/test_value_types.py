@@ -25,7 +25,7 @@ from z2z8 import (
     verify_formula,
 )
 from z2z8.census import VerifyReport, VerifyRow
-from z2z8.codes import zero_standard_form, zero_standard_form_z4
+from z2z8.codes import zero_standard_form
 from z2z8.counting import IdentityCheck
 
 
@@ -195,7 +195,6 @@ def test_standard_form_matrix_contract():
     with pytest.raises(TypeError):
         kw.blocks["T03"] = ((1,),)
     assert m != StandardFormMatrix(1, 1, 3, (1, 0, 0, 0), {**m.blocks, "T03": ((1,),)})
-    assert m.profile == TypeProfile(1, 1, 1, 0, 0, 0)
     read_only(m, "blocks")
 
 
@@ -215,8 +214,6 @@ def test_standard_form_matrix_validation_messages():
     for args, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             StandardFormMatrix(*args)
-    with pytest.raises(ValueError, match=r"^TypeProfile view only exists for e = 3$"):
-        zero_standard_form_z4(1, 1, 0, 0, 0).profile
 
 
 def test_parity_check_matrix_contract():
