@@ -292,7 +292,9 @@ class Code:
 
 def span(generators: Sequence[MixedWord], *, alpha: int | None = None,
          beta: int | None = None, e: int | None = None) -> Code:
-    """Additive closure of the generators (ambient dims required when empty)."""
+    """Additive closure of the generators (ambient dims required when empty);
+    refused first if the product of their orders, which bounds the code's
+    words, passes the work limit."""
     gens = list(generators)
     if gens:
         alpha, beta, e = gens[0].alpha, gens[0].beta, gens[0].e
@@ -301,9 +303,16 @@ def span(generators: Sequence[MixedWord], *, alpha: int | None = None,
     elif alpha is None or beta is None or e is None:
         raise ValueError("empty generator list needs explicit alpha, beta, e")
     ambient = _Ambient(alpha, beta, e)
+    packed = [ambient.encode(g) for g in gens]
+    bits = 0  # the sum of the generators' log2 orders: at most e doublings each
+    for x in packed:
+        while x:
+            x = (x + x) & ambient.mask
+            bits += 1
+    check_work(1 << min(bits, ambient.bits), "span (its words)")
     group = frozenset([0])
-    for g in gens:
-        group = ambient.adjoin(group, ambient.encode(g))
+    for g in packed:
+        group = ambient.adjoin(group, g)
     return Code._from_packed(ambient, group)
 
 

@@ -3,14 +3,14 @@
 The central quantity is the number of distinct additive codes (subgroups)
 of a given type (alpha, beta; k0, k1, k2, k3), known as a Mixed Generalized
 Gaussian Number.  Two independent derivations are kept side by side: the
-ordered-generator product formula and a closed form built from a power of
-two and Gaussian binomials/multinomials.  Every factor of both is
-2^i (2^j - 1), so `count` factors both, with no big integer, into a power
-of two times the same eight runs of 2^j - 1; it insists that the two
-formulas agree factor by factor, run by run, reads the runs as the four
-Gaussian binomials [n; k]_2 of the closed form, and then multiplies the
+ordered-generator product formula and a closed form, built as a power of
+two and four Gaussian binomials [n; k]_2, each a run of 2^j - 1 over
+(n - k, n] divided by the run over (0, k].  Every factor of the
+product formula is 2^i (2^j - 1), so `count` factors it, with no big
+integer, into a power of two and eight runs; it insists that these are the
+closed form's, factor by factor, run by run, and then multiplies the
 integer out once from the Phi_d(2), the values at 2 of the cyclotomic
-polynomials, that divide each of them.  `count_product` evaluates the
+polynomials, that divide each binomial.  `count_product` evaluates the
 product formula in integers and stays the reference that the tests
 compare against, with the q-kernel in `qnum`.
 
@@ -245,25 +245,25 @@ def count_closed_form(profile: TypeProfile) -> int:
     """2^delta * [alpha; k0]_2 * [beta; k1,k2,k3]_2; 0 for invalid profiles."""
     if not profile.is_valid():
         return 0
-    return _evaluate(*_binomials(_closed_form(profile)))
+    return _evaluate(*_closed_form(profile))
 
 
 def count(profile: TypeProfile) -> int:
     """Number of distinct additive codes of the given type.
 
-    Both formulas are factored, with no big integer, into a power of two
-    and eight runs of 2^j - 1 (see below): the closed form and the product
-    formula must give the same power of two and the same runs in the same
-    order, factor by factor.  That makes them agree as polynomials in q
-    before q = 2 is put in, which is stronger than agreeing as integers.
-    A disagreement, runs that are not four Gaussian binomials [n; k]_2, or
-    a negative exponent of 2 raises SelfCheckError (it would mean a bug,
-    not a bad input).  The count's bits, read off the binomials, are
-    refused (AmbientTooLargeError) past `errors.WORK_LIMIT`; the integer is
-    then built once from the Phi_d(2), the values at 2 of the cyclotomic
-    polynomials, that divide each binomial.  [n; 0]_2 and [n; n]_2 take no
-    step, so (10^20, 1; 0, 0, 0, 0) and (10^12, 0; 10^12, 0, 0, 0) count 1
-    at once.  Invalid profiles count 0.
+    The closed form is a power of two and four Gaussian binomials [n; k]_2,
+    each the run of 2^j - 1 over (n - k, n] divided by the run over (0, k].
+    The product formula is factored, with no big integer, into a power of
+    two and eight such runs (see below), and must give the same power of two
+    and the binomials' runs in the same order, factor by factor.  That makes
+    the two agree as polynomials in q before q = 2 is put in, which is
+    stronger than agreeing as integers; a disagreement raises SelfCheckError
+    (it would mean a bug, not a bad input).  `_evaluate` then refuses the
+    count (AmbientTooLargeError) if its bits pass `errors.WORK_LIMIT`, and
+    builds the integer once from the Phi_d(2), the values at 2 of the
+    cyclotomic polynomials, that divide each binomial.  [n; 0]_2 and
+    [n; n]_2 take no step, so (10^20, 1; 0, 0, 0, 0) and
+    (10^12, 0; 10^12, 0, 0, 0) count 1 at once.  Invalid profiles count 0.
     """
     if not profile.is_valid():
         return 0
@@ -271,76 +271,44 @@ def count(profile: TypeProfile) -> int:
 
 
 def _agreed_form(profile: TypeProfile) -> tuple[int, list[tuple[int, int]]]:
-    """The power of two and the four Gaussian binomials (n, k) of the form
-    (two, runs) on which the closed form and the product formula agree run
-    by run (valid profiles); SelfCheckError if they do not."""
-    closed = _closed_form(profile)
+    """The closed form (two, the four binomials (n, k)), once the product
+    formula has given the same power of two and the binomials' runs
+    (n - k, n] then (0, k], run by run (valid profiles); SelfCheckError if not."""
+    two, binomials = _closed_form(profile)
     product = _product_form(profile)
-    if closed != product:
+    if product != (two, [(n - k, n, 1) for n, k in binomials] + [(0, k, -1) for _, k in binomials]):
         raise SelfCheckError(
             f"formula disagreement at {profile}: the closed form and the product formula "
-            f"factor differently (exponent of 2: {closed[0]} vs {product[0]})"
+            f"factor differently (exponent of 2: {two} vs {product[0]})"
         )
-    return _binomials(closed)
+    return two, binomials
 
 
 # ---------------------------------------------------------------------------
 # factored evaluation
 # ---------------------------------------------------------------------------
 #
-# Every factor of both formulas is 2^i (2^j - 1).  A formula is a form
-# (two, runs): the exponent of 2 and eight runs (lo, hi, sign), each the
-# product of (2^j - 1)^sign over lo < j <= hi, in the order N1..N4, D1..D4:
-# the numerator runs of [alpha; k0], [beta; k1], [beta-k1; k2] and
-# [beta-k1-k2; k3], then the runs (0, k] of the denominators.  Both formulas
-# give these runs, so `_agreed_form` compares them one by one, and
-# `_binomials` reads them back as four Gaussian binomials [n; k]_2, the
-# numerator run (n - k, n] over the denominator run (0, k].
+# Every factor of the product formula is 2^i (2^j - 1), so `_product_form`
+# gives it as (two, runs): the exponent of 2 and eight runs (lo, hi, sign),
+# each the product of (2^j - 1)^sign over lo < j <= hi, in the order
+# N1..N4, D1..D4.
 #
 # 2^j - 1 is the product of Phi_d(2) over the divisors d of j, so Phi_d(2)
-# divides a run once per multiple of d in it, and [n; k]_2 exactly
-# n//d - k//d - (n-k)//d times, which is 1 when n % d < k % d and 0
-# otherwise.  `_evaluate` lists those Phi_d(2), 2 <= d <= n, binomial by
-# binomial (Phi_1(2) = 1), and skips [n; 0]_2 and [n; n]_2, which are 1
-# however large n is.  For 0 < k < n that takes n - 1 <= k(n - k) steps,
-# and k(n - k) is the degree of [n; k]_q, so the guard on the count's bits,
-# two + sum k(n - k), bounds the loop too.  The leaves are then multiplied
-# by one flat loop of pairwise products, level by level, so that most
-# products are of numbers of about equal size.
+# divides [n; k]_2 exactly n//d - k//d - (n-k)//d times, which is 1 when
+# n % d < k % d and 0 otherwise.  `_evaluate` lists those Phi_d(2),
+# 2 <= d <= n, and skips [n; 0]_2 and [n; n]_2.  For 0 < k < n that takes
+# n - 1 <= k(n - k) steps, the degree of [n; k]_q, so its guard on the
+# count's bits, two + sum k(n - k), bounds the loop too.  The leaves are
+# multiplied pairwise, level by level, so that most products are of numbers
+# of about equal size.
 
 
-def _binomials(form: tuple[int, list]) -> tuple[int, list[tuple[int, int]]]:
-    """(two, the four pairs (n, k)) of a form (two, runs) whose runs are the
-    numerator runs (n - k, n] of four Gaussian binomials [n; k]_2,
-    0 <= k <= n, then their denominator runs (0, k]; SelfCheckError for any
-    other runs, and AmbientTooLargeError if the count's bits pass the work
-    limit."""
-    two, runs = form
-    bits, binomials = two, []
-    for (lo, n, sign), (zero, k, inverse) in zip(runs[:4], runs[4:]):  # a plain loop: twice as fast as comprehensions
-        if lo == n - k and sign == 1 and zero == 0 and inverse == -1 and 0 <= k <= n:
-            bits += k * (n - k)
-            binomials.append((n, k))
-    if len(binomials) != 4 or len(runs) != 8:
-        raise SelfCheckError(f"the runs {runs} are not four Gaussian binomials, (n - k, n] over (0, k]")
-    check_work(bits, "count (its bits)")
-    return two, binomials
-
-
-def _closed_form(profile: TypeProfile) -> tuple[int, list]:
-    """2^delta * [alpha; k0]_2 * [beta; k1,k2,k3]_2 as a form (valid profiles).
-
-    [beta; k1, k2, k3]_2 is the telescoping product
-    [beta; k1]_2 [beta-k1; k2]_2 [beta-k1-k2; k3]_2, and [m; k]_2 is the run
-    (m - k, m] over the run (0, k].
-    """
+def _closed_form(profile: TypeProfile) -> tuple[int, list[tuple[int, int]]]:
+    """2^delta * [alpha; k0]_2 * [beta; k1,k2,k3]_2 as (delta, the four pairs
+    (n, k)) (valid profiles): [beta; k1, k2, k3]_2 is the telescoping product
+    [beta; k1]_2 [beta-k1; k2]_2 [beta-k1-k2; k3]_2."""
     alpha, beta, k0, k1, k2, k3 = profile
-    b1 = beta - k1
-    b2 = b1 - k2
-    return _deltas(profile)[0], [
-        (alpha - k0, alpha, 1), (b1, beta, 1), (b2, b1, 1), (b2 - k3, b2, 1),
-        (0, k0, -1), (0, k1, -1), (0, k2, -1), (0, k3, -1),
-    ]
+    return _deltas(profile)[0], [(alpha, k0), (beta, k1), (beta - k1, k2), (beta - k1 - k2, k3)]
 
 
 def _product_form(profile: TypeProfile) -> tuple[int, list]:
@@ -395,8 +363,10 @@ def _phi2(d: int) -> int:
 
 
 def _evaluate(two: int, binomials: list[tuple[int, int]]) -> int:
-    """2^two times the Gaussian binomials [n; k]_2 of `_binomials`, each the
-    product of the Phi_d(2) with 2 <= d <= n and n % d < k % d."""
+    """2^two times the Gaussian binomials [n; k]_2, each the product of the
+    Phi_d(2) with 2 <= d <= n and n % d < k % d; AmbientTooLargeError first
+    if the count's bits, two + sum k(n - k), pass the work limit."""
+    check_work(two + sum(k * (n - k) for n, k in binomials), "count (its bits)")
     if two < 0:
         raise SelfCheckError(f"the power of two has exponent {two}")
     leaves = [_phi2(d) for n, k in binomials if 0 < k < n for d in range(2, n + 1) if n % d < k % d]
@@ -412,9 +382,9 @@ def count_z8(n: int, k1: int, k2: int, k3: int) -> int:
     """Number of distinct linear codes of type (k1,k2,k3) over Z8^n.
 
     Equal to count(1, n; 1, k1, k2, k3) divided by 2^(n - k1 - k2 - k3).
-    The division comes off the power of two that `_agreed_form` gives with
-    the four binomials, and `_evaluate` raises SelfCheckError if that
-    exponent goes negative.
+    The division comes off the power of two of `_agreed_form`, and
+    `_evaluate` guards the quotient's bits, then raises SelfCheckError if
+    that exponent went negative.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")

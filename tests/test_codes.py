@@ -209,6 +209,22 @@ def test_span_of_worked_example_has_64_words():
     assert c.is_subgroup()
 
 
+def test_span_refuses_a_code_past_the_work_limit_at_once():
+    # twelve order-8 rows: 2^36 words, each step of the closure 8 times the last
+    rows = assemble(zero_standard_form(TypeProfile(0, 12, 0, 12, 0, 0)))
+    start = time.perf_counter()
+    with pytest.raises(AmbientTooLargeError, match="^span"):
+        span(rows)
+    assert time.perf_counter() - start < 1
+
+
+def test_span_guards_the_code_not_the_ambient():
+    # one order-2 word in Z8^40, an ambient of 2^120 words, spans its 2 words
+    c = span([W([], [4] + [0] * 39)])
+    assert len(c) == 2
+    assert W([], [0] * 40) in c
+
+
 def test_classify_trivial_code():
     # the public shapes: a TypeProfile over Z8, the bare ks over Z4
     found = classify_type(span([], alpha=0, beta=2, e=3))

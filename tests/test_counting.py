@@ -152,7 +152,18 @@ def test_count_raises_when_the_product_form_disagrees(monkeypatch):
         (lo, hi, sign), *rest = runs
         return two, [(lo - 1, hi - 1, sign), *rest]
 
-    for perturbed in (more_two, one_run_moved):
+    def reordered(profile):  # the same runs in another order give the same exponents
+        two, runs = product_form(profile)
+        return two, runs[::-1]
+
+    def one_denominator_last(profile):  # D1 after D4: runs that pair into no binomials
+        two, runs = product_form(profile)
+        return two, runs[:4] + runs[5:] + runs[4:5]
+
+    def negative_exponent(profile):  # (2^2 - 1) / (2^3 - 1): Phi_3(2) to the power -1
+        return 0, [(1, 2, 1), (2, 3, -1)]
+
+    for perturbed in (more_two, one_run_moved, reordered, one_denominator_last, negative_exponent):
         monkeypatch.setattr(counting, "_product_form", perturbed)
         with pytest.raises(SelfCheckError, match="formula disagreement"):
             count(p)
@@ -160,42 +171,17 @@ def test_count_raises_when_the_product_form_disagrees(monkeypatch):
     assert count(p) == count_product(p).total
 
 
-def test_the_two_forms_give_the_same_runs_in_factor_order(monkeypatch):
-    # N1..N4 are the numerator runs of [alpha; k0], [beta; k1], [beta-k1; k2]
-    # and [beta-k1-k2; k3]; D1..D4 are the runs (0, k]
+def test_the_two_forms_give_the_same_runs_in_factor_order():
+    # the closed form is [alpha; k0], [beta; k1], [beta-k1; k2] and
+    # [beta-k1-k2; k3]; the product formula's N1..N4 are their numerator
+    # runs (n - k, n] and D1..D4 their denominator runs (0, k]
     for p in valid_profiles(5, 5):
         a, b, k0, k1, k2, k3 = p
+        delta = delta_exponents(p).delta
+        assert counting._closed_form(p) == (delta, [(a, k0), (b, k1), (b - k1, k2), (b - k1 - k2, k3)]), p
         runs = [(a - k0, a, 1), (b - k1, b, 1), (b - k1 - k2, b - k1, 1), (b - p.l, b - k1 - k2, 1),
                 (0, k0, -1), (0, k1, -1), (0, k2, -1), (0, k3, -1)]
-        assert counting._closed_form(p) == counting._product_form(p) == (delta_exponents(p).delta, runs), p
-    # the same runs in another order give the same exponents, but are refused
-    p = TypeProfile(4, 5, 2, 1, 1, 1)
-    product_form = counting._product_form
-
-    def reordered(profile):
-        two, runs = product_form(profile)
-        return two, runs[::-1]
-
-    monkeypatch.setattr(counting, "_product_form", reordered)
-    assert sorted(counting._product_form(p)[1]) == sorted(counting._closed_form(p)[1])
-    with pytest.raises(SelfCheckError, match="formula disagreement"):
-        count(p)
-
-
-def test_negative_cyclotomic_exponent_raises(monkeypatch):
-    # (2^2 - 1) / (2^3 - 1) would give Phi_3(2) the exponent -1, and the
-    # binomials' runs in another order are no binomials: both are refused
-    # before any exponent is read, since only four Gaussian binomials
-    # [n; k]_2 are sure to be polynomials in 2
-    p = TypeProfile(4, 5, 2, 1, 1, 1)
-    two, runs = counting._closed_form(p)
-    for form in ((0, [(1, 2, 1), (2, 3, -1)]), (two, runs[::-1]), (two, runs[:4] + runs[5:] + runs[4:5])):
-        monkeypatch.setattr(counting, "_closed_form", lambda profile: form)
-        monkeypatch.setattr(counting, "_product_form", lambda profile: form)
-        with pytest.raises(SelfCheckError, match="not four Gaussian binomials"):
-            count(p)
-        with pytest.raises(SelfCheckError, match="not four Gaussian binomials"):
-            count_closed_form(p)
+        assert counting._product_form(p) == (delta, runs), p
 
 
 def test_phi_d_divides_a_gaussian_binomial_once_exactly_when_n_mod_d_is_below_k_mod_d():
@@ -239,12 +225,13 @@ def sparse_profile(rng):
 
 def test_evaluate_is_the_naive_product():
     # on small profiles and on large sparse ones, the count from the four
-    # binomials is the product of every Phi_d(2)^e, e read off the runs
+    # binomials is the product of every Phi_d(2)^e, e read off the product
+    # formula's runs
     rng = random.Random(2013)
     for draw in (small_profile, sparse_profile):
         for _ in range(150):
             p = draw(rng)
-            assert counting._evaluate(*counting._agreed_form(p)) == naive_evaluate(*counting._closed_form(p)), p
+            assert counting._evaluate(*counting._agreed_form(p)) == naive_evaluate(*counting._product_form(p)), p
 
 
 def test_count_needs_no_table_up_to_beta():
@@ -269,6 +256,10 @@ def test_count_allocates_nothing_for_empty_runs():
     assert time.perf_counter() - start < 1
 
 
+def unguarded_phi2(d):
+    raise AssertionError(f"Phi_{d}(2) built past the guard")
+
+
 @pytest.mark.parametrize("profile", [
     (2 * 10**7, 1, 1, 0, 0, 0),  # [2 * 10^7; 1]_2 as [alpha; k0]_2
     (0, 2 * 10**7, 0, 1, 2 * 10**7 - 1, 0),  # as [beta; k1]_2
@@ -278,13 +269,18 @@ def test_count_allocates_nothing_for_empty_runs():
 def test_each_binomial_counts_toward_the_guard(profile, monkeypatch):
     # each type's power of two is at most 1 and three of its binomials are 1:
     # the one [2 * 10^7; 1]_2, about 2 * 10^7 bits, alone must refuse it
-    # before any Phi_d(2) is built
-    def unguarded(d):
-        raise AssertionError(f"Phi_{d}(2) built past the guard")
+    # before any Phi_d(2) is built, by either formula
+    monkeypatch.setattr(counting, "_phi2", unguarded_phi2)
+    for counter in (count, count_closed_form):
+        with pytest.raises(AmbientTooLargeError, match="^count"):
+            counter(TypeProfile(*profile))
 
-    monkeypatch.setattr(counting, "_phi2", unguarded)
+
+def test_count_z8_is_guarded_on_its_quotient(monkeypatch):
+    # (1, 2 * 10^7; 1, 0, 0, 1) over 2^(2 * 10^7 - 1) leaves 2^0 [2 * 10^7; 1]_2
+    monkeypatch.setattr(counting, "_phi2", unguarded_phi2)
     with pytest.raises(AmbientTooLargeError, match="^count"):
-        count(TypeProfile(*profile))
+        count_z8(2 * 10**7, 0, 0, 1)
 
 
 def test_invalid_profiles_count_zero():
