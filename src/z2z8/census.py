@@ -31,6 +31,7 @@ of K.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from itertools import chain
 from operator import itemgetter
@@ -241,7 +242,9 @@ def _tally(alpha: int, beta: int, e: int) -> TypeCensus:
 
 
 def formula_census(alpha: int, beta: int, e: int = 3) -> TypeCensus:
-    """Census predicted by the counting formulas, one per valid profile; bad input raises as in `census`."""
+    """Census predicted by the counting formulas, one per valid profile; bad input raises as in `census`.
+    Refused (AmbientTooLargeError) before the first count if its types, (alpha+1) C(beta+e, e), pass the
+    work limit; each count is guarded on its bits as in `counting.count`."""
     return _formula_census(alpha, beta, e, None)
 
 
@@ -251,6 +254,8 @@ def _formula_census(alpha: int, beta: int, e: int, job: str | None) -> TypeCensu
     what = f"{job}({alpha}, {beta}, {e}) (subgroups, counted up to the limit)"
     if job:  # before any count, its 2-torsion (Z2)^n alone: [n; n//2]_2 >= 2^(n//2 * (n+1)//2), n = alpha+beta
         check_work(1 << min((alpha + beta) // 2 * ((alpha + beta + 1) // 2), 64), what)
+    check_work((alpha + 1) * math.comb(beta + e, e),
+               f"{job or 'formula_census'}({alpha}, {beta}, {e}) (its types)")
     counts, total = {}, 0
     for ks in counting._valid_ks(alpha, beta, e):
         counts[ks] = n = counting.count(counting._z8_slots(alpha, beta, ks))

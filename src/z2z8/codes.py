@@ -292,14 +292,19 @@ class Code:
 
 def span(generators: Sequence[MixedWord], *, alpha: int | None = None,
          beta: int | None = None, e: int | None = None) -> Code:
-    """Additive closure of the generators (ambient dims required when empty);
-    refused first if the product of their orders, which bounds the code's
-    words, passes the work limit."""
+    """Additive closure of the generators (ambient dims required when empty,
+    and ValueError if given ones differ from the generators'); refused first
+    if the product of their orders, which bounds the code's words, passes the
+    work limit."""
     gens = list(generators)
     if gens:
-        alpha, beta, e = gens[0].alpha, gens[0].beta, gens[0].e
+        g0 = gens[0]
+        if any(x is not None and x != y for x, y in zip((alpha, beta, e), (g0.alpha, g0.beta, g0.e))):
+            raise ValueError(f"ambient mismatch: generators in ({g0.alpha},{g0.beta},e={g0.e}) "
+                             f"but ({alpha},{beta},e={e}) given")
+        alpha, beta, e = g0.alpha, g0.beta, g0.e
         for g in gens[1:]:
-            _check_same_ambient(gens[0], g)
+            _check_same_ambient(g0, g)
     elif alpha is None or beta is None or e is None:
         raise ValueError("empty generator list needs explicit alpha, beta, e")
     ambient = _Ambient(alpha, beta, e)

@@ -11,8 +11,8 @@ integer, into a power of two and eight runs; it insists that these are the
 closed form's, factor by factor, run by run, and then multiplies the
 integer out once from the Phi_d(2), the values at 2 of the cyclotomic
 polynomials, that divide each binomial.  `count_product` evaluates the
-product formula in integers and stays the reference that the tests
-compare against, with the q-kernel in `qnum`.
+same eight rows, `_product_rows`, in integers and stays the reference
+that the tests compare against, with the q-kernel in `qnum`.
 
 Specializations cover linear codes over Z8, additive codes over Z2 x Z4,
 and the classical 2-binomial coefficients, plus the duality arithmetic
@@ -27,6 +27,7 @@ prints it.  The identity sweeps (`check_identities` and its records) live in
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterator, NamedTuple
 
 from .errors import SelfCheckError, check_work
@@ -181,9 +182,10 @@ def count_product(profile: TypeProfile) -> CountBreakdown:
 
     Each Ni counts ordered generator choices in the whole ambient group, the
     matching Di counts them inside one code of the type; zero ki leave the
-    corresponding factors at 1.  Invalid profiles yield total 0 with all
-    factors 1.  The exact division makes this the labelled test oracle for
-    `count`, which never divides.
+    corresponding factors at 1.  The factors are `_product_rows` evaluated
+    in integers, the rows that `count` checks against the closed form.
+    Invalid profiles yield total 0 with all factors 1.  The exact division
+    makes this the labelled test oracle for `count`, which never divides.
     """
     n1, n2, n3, n4, d1, d2, d3, d4 = _product_factors(profile)
     if not profile.is_valid():
@@ -194,36 +196,38 @@ def count_product(profile: TypeProfile) -> CountBreakdown:
     return CountBreakdown(n1, n2, n3, n4, d1, d2, d3, d4, total)
 
 
+def _product_rows(profile: TypeProfile) -> tuple[tuple[int, int, int, int], ...]:
+    """N1..N4, D1..D4 of the product formula as rows (sign, k, s, m) (valid profiles).
+
+    The i-th of a row's k terms, i < k, is 2^(s+i) (2^(m-i) - 1), so the row
+    is 2^(ks + k(k-1)/2) times the run of 2^j - 1 over (m - k, m]; sign is 1
+    for a numerator and -1 for a denominator.
+    """
+    a, b, k0, k1, k2, k3 = profile
+    l = k1 + k2 + k3
+    return (
+        (1, k0, b, a),                            # N1: (2^a - 2^i) 2^b
+        (1, k1, 2 * b + a, b),                    # N2: (8^b - 4^b 2^i) 2^a
+        (1, k2, b + k1 + a, b - k1),              # N3: (4^b - 2^(b+k1+i)) 2^a
+        (1, k3, k1 + k2, b - k1 - k2),            # N4: 2^b - 2^(k2+k1+i)
+        (-1, k0, l, k0),                          # D1: 2^(k0+l) - 2^(l+i)
+        (-1, k1, 2 * k1 + k0 + 2 * k2 + k3, k1),  # D2: (8^k1 - 4^k1 2^i) 2^(k0+2k2+k3)
+        (-1, k2, k2 + k0 + 2 * k1 + k3, k2),      # D3: (4^k2 - 2^(k2+i)) 2^(k0+2k1+k3)
+        (-1, k3, k1 + k2, k3),                    # D4: 2^l - 2^(k1+k2+i)
+    )
+
+
 def _product_factors(profile: TypeProfile) -> tuple[int, ...]:
-    """N1, N2, N3, N4, D1, D2, D3, D4 of the product formula; all 1 for invalid profiles.
-    Refused first if their bits, at most twice the numerator's (Di <= Ni), pass the work limit."""
+    """N1, N2, N3, N4, D1, D2, D3, D4: each row of `_product_rows` in integers; all 1 for
+    invalid profiles.  Refused first if their bits, at most twice the numerator's
+    (Di <= Ni), 2 sum k(s + m) over the numerator rows, pass the work limit."""
     if not profile.is_valid():
         return (1,) * 8
-    a, b = profile.alpha, profile.beta
-    k0, k1, k2, k3 = profile.ks
-    check_work(2 * (k0 * (a + b) + k1 * (3 * b + a) + k2 * (2 * b + a) + k3 * b),
+    rows = _product_rows(profile)
+    check_work(2 * sum(k * (s + m) for sign, k, s, m in rows if sign > 0),
                "count --breakdown (the bits of its eight factors)")
-
-    n1 = n2 = n3 = n4 = 1
-    for i in range(k0):
-        n1 *= (2**a - 2**i) * 2**b
-    for i in range(k1):
-        n2 *= (8**b - 4**b * 2**i) * 2**a
-    for i in range(k2):
-        n3 *= (4**b - 2 ** (b + k1 + i)) * 2**a
-    for i in range(k3):
-        n4 *= 2**b - 2 ** (k2 + k1 + i)
-
-    d1 = d2 = d3 = d4 = 1
-    for i in range(k0):
-        d1 *= 2 ** (k0 + k1 + k2 + k3) - 2 ** (k1 + k2 + k3 + i)
-    for i in range(k1):
-        d2 *= (8**k1 - 4**k1 * 2**i) * 2 ** (k0 + 2 * k2 + k3)
-    for i in range(k2):
-        d3 *= (4**k2 - 2 ** (k2 + i)) * 2 ** (k0 + 2 * k1 + k3)
-    for i in range(k3):
-        d4 *= 2 ** (k1 + k2 + k3) - 2 ** (k1 + k2 + i)
-    return n1, n2, n3, n4, d1, d2, d3, d4
+    return tuple(math.prod((1 << j) - 1 for j in range(m - k + 1, m + 1)) << (k * s + k * (k - 1) // 2)
+                 for _, k, s, m in rows)
 
 
 def delta_exponents(profile: TypeProfile) -> DeltaExponents:
@@ -288,10 +292,10 @@ def _agreed_form(profile: TypeProfile) -> tuple[int, list[tuple[int, int]]]:
 # factored evaluation
 # ---------------------------------------------------------------------------
 #
-# Every factor of the product formula is 2^i (2^j - 1), so `_product_form`
+# Every term of the product formula is 2^i (2^j - 1), so `_product_form`
 # gives it as (two, runs): the exponent of 2 and eight runs (lo, hi, sign),
 # each the product of (2^j - 1)^sign over lo < j <= hi, in the order
-# N1..N4, D1..D4.
+# N1..N4, D1..D4 of `_product_rows`.
 #
 # 2^j - 1 is the product of Phi_d(2) over the divisors d of j, so Phi_d(2)
 # divides [n; k]_2 exactly n//d - k//d - (n-k)//d times, which is 1 when
@@ -312,26 +316,10 @@ def _closed_form(profile: TypeProfile) -> tuple[int, list[tuple[int, int]]]:
 
 
 def _product_form(profile: TypeProfile) -> tuple[int, list]:
-    """N1..N4 / D1..D4 of `_product_factors` as a form, read off its loop bounds (valid profiles).
-
-    The i-th factor of each Ni and Di is 2^(s+i) (2^(m-i) - 1) for i < k, with
-    the k, s and m below; over i < k that is 2^(ks + k(k-1)/2) times the run
-    (m - k, m].
-    """
-    a, b, k0, k1, k2, k3 = profile
-    l = k1 + k2 + k3
-    factors = (  # (sign, k, s, m)
-        (1, k0, b, a),                            # N1: (2^a - 2^i) 2^b
-        (1, k1, 2 * b + a, b),                    # N2: (8^b - 4^b 2^i) 2^a
-        (1, k2, b + k1 + a, b - k1),              # N3: (4^b - 2^(b+k1+i)) 2^a
-        (1, k3, k1 + k2, b - k1 - k2),            # N4: 2^b - 2^(k2+k1+i)
-        (-1, k0, l, k0),                          # D1: 2^(k0+l) - 2^(l+i)
-        (-1, k1, 2 * k1 + k0 + 2 * k2 + k3, k1),  # D2: (8^k1 - 4^k1 2^i) 2^(k0+2k2+k3)
-        (-1, k2, k2 + k0 + 2 * k1 + k3, k2),      # D3: (4^k2 - 2^(k2+i)) 2^(k0+2k1+k3)
-        (-1, k3, k1 + k2, k3),                    # D4: 2^l - 2^(k1+k2+i)
-    )
+    """`_product_rows` as a form (two, runs): the sum of the rows' powers of two
+    and their runs (m - k, m], with signs (valid profiles)."""
     two, runs = 0, []
-    for sign, k, s, m in factors:
+    for sign, k, s, m in _product_rows(profile):
         two += sign * (k * s + k * (k - 1) // 2)
         runs.append((m - k, m, sign))
     return two, runs

@@ -6,6 +6,9 @@ faster path in `z2z8`.
 * `coset_scan` finds the first word of each coset of a subgroup by a scan of
   the whole prefix group, the reference for the coset words that walk
   carries.
+* `paper_product_factors` multiplies out the product formula N1..N4 /
+  D1..D4 term by term, as the paper writes it, the reference for the rows
+  of `z2z8.counting._product_rows`.
 """
 
 from __future__ import annotations
@@ -58,3 +61,34 @@ def subgroup_sets_by_covers(ambient: _Ambient) -> list[frozenset[int]]:
                     covers.add(sub.union(coset))
         layer = sorted(covers, key=sorted)
     return ordered
+
+
+def paper_product_factors(profile) -> tuple[int, ...]:
+    """Test reference for `counting._product_factors`: N1, N2, N3, N4, D1,
+    D2, D3, D4 of the product formula, each a loop over its terms as the
+    paper writes them; all 1 for invalid profiles."""
+    if not profile.is_valid():
+        return (1,) * 8
+    a, b = profile.alpha, profile.beta
+    k0, k1, k2, k3 = profile.ks
+
+    n1 = n2 = n3 = n4 = 1
+    for i in range(k0):
+        n1 *= (2**a - 2**i) * 2**b
+    for i in range(k1):
+        n2 *= (8**b - 4**b * 2**i) * 2**a
+    for i in range(k2):
+        n3 *= (4**b - 2 ** (b + k1 + i)) * 2**a
+    for i in range(k3):
+        n4 *= 2**b - 2 ** (k2 + k1 + i)
+
+    d1 = d2 = d3 = d4 = 1
+    for i in range(k0):
+        d1 *= 2 ** (k0 + k1 + k2 + k3) - 2 ** (k1 + k2 + k3 + i)
+    for i in range(k1):
+        d2 *= (8**k1 - 4**k1 * 2**i) * 2 ** (k0 + 2 * k2 + k3)
+    for i in range(k2):
+        d3 *= (4**k2 - 2 ** (k2 + i)) * 2 ** (k0 + 2 * k1 + k3)
+    for i in range(k3):
+        d4 *= 2 ** (k1 + k2 + k3) - 2 ** (k1 + k2 + i)
+    return n1, n2, n3, n4, d1, d2, d3, d4

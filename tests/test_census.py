@@ -358,6 +358,17 @@ def test_formula_census_rejects_what_census_rejects(alpha, beta, e):
     assert str(formula.value) == str(enumerated.value)
 
 
+def test_formula_census_is_refused_on_its_types_at_once(monkeypatch):
+    # (300+1) C(303, 3) = 1,381,755,851 types, refused before the first count
+    from z2z8 import counting
+
+    monkeypatch.setattr(counting, "count", lambda profile: pytest.fail(f"counted {profile}"))
+    start = time.perf_counter()
+    with pytest.raises(AmbientTooLargeError, match=r"formula_census\(300, 300, 3\) \(its types\)"):
+        formula_census(300, 300, 3)
+    assert time.perf_counter() - start < 1
+
+
 def test_formula_census_mirrors_enumeration():
     predicted = formula_census(1, 2, 3)
     enumerated = census(1, 2, 3)

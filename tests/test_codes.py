@@ -196,6 +196,15 @@ def test_span_empty_is_zero_code():
     assert W([0, 0], [0]) in c
 
 
+def test_span_refuses_dimensions_that_contradict_its_generators():
+    g = MixedWord((1,), (1,), 3)
+    with pytest.raises(ValueError, match=r"\(1,1,e=3\).*\(5,5,e=2\)"):
+        span([g], alpha=5, beta=5, e=2)
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        span([g], e=2)
+    assert span([g], alpha=1, beta=1, e=3) == span([g])
+
+
 def test_span_cyclic_generator_fills_z8():
     c = span([W([], [1])])
     assert len(c) == 8

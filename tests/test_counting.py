@@ -5,6 +5,7 @@ import random
 import time
 
 import pytest
+from reference import paper_product_factors
 
 from z2z8 import counting, identities
 from z2z8.counting import (
@@ -128,11 +129,22 @@ def test_factored_count_matches_the_integer_oracles():
                                  * q_multinomial(p.beta, [p.beta - p.l, p.k3, p.k2], 2)), p
 
 
-@pytest.mark.parametrize("profile", [(100, 200, 50, 50, 50, 50), (300, 400, 7, 0, 250, 1),
-                                     (40, 80, 0, 79, 0, 1), (150, 300, 150, 150, 150, 0)])
+LARGE_PROFILES = [(100, 200, 50, 50, 50, 50), (300, 400, 7, 0, 250, 1),
+                  (40, 80, 0, 79, 0, 1), (150, 300, 150, 150, 150, 0)]
+
+
+@pytest.mark.parametrize("profile", LARGE_PROFILES)
 def test_factored_count_matches_the_integer_oracles_on_large_profiles(profile):
     p = TypeProfile(*profile)
     assert count(p) == count_product(p).total == closed_form_reference(p)
+
+
+def test_product_factors_are_the_papers_eight_loops():
+    # count checks only the rows' total power of two and their runs, so a
+    # power of two moved from one row to another would change count_product's
+    # factors and --breakdown without failing it; invalid profiles give all 1
+    for p in [*valid_profiles(6, 6), *(TypeProfile(*q) for q in LARGE_PROFILES), TypeProfile(1, 2, 2, 0, 0, 0)]:
+        assert counting._product_factors(p) == paper_product_factors(p), p
 
 
 def test_t7_term_is_the_central_binomial_at_large_r():

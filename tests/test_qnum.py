@@ -5,10 +5,13 @@ q-factorial quotients) are deliberately independent of the telescoping
 product used by the implementation.
 """
 
+import time
 from itertools import permutations, product
 
 import pytest
 
+from z2z8 import qnum
+from z2z8.errors import AmbientTooLargeError
 from z2z8.qnum import q_binomial, q_factorial, q_integer, q_multinomial
 
 
@@ -175,6 +178,28 @@ def test_rejects_bad_arguments():
         q_integer(3, 1)
     with pytest.raises(ValueError):
         q_factorial(-2, 2)
+
+
+@pytest.mark.parametrize("function,args", [
+    (q_integer, (10**8, 2)),
+    (q_factorial, (10**4, 2)),
+    (q_binomial, (200000, 100000, 2)),
+])
+def test_refuses_a_result_past_the_work_limit_at_once(function, args):
+    start = time.perf_counter()
+    with pytest.raises(AmbientTooLargeError, match=f"{function.__name__} \\(its bits\\)"):
+        function(*args)
+    assert time.perf_counter() - start < 1
+
+
+def test_q_multinomial_is_refused_before_its_first_binomial(monkeypatch):
+    # each of [4000; 1000]_2, [3000; 1000]_2 and [2000; 1000]_2 passes the
+    # binomial's guard, but together they pass the work limit
+    monkeypatch.setattr(qnum, "q_binomial", lambda *args: pytest.fail(f"q_binomial{args}"))
+    start = time.perf_counter()
+    with pytest.raises(AmbientTooLargeError, match=r"q_multinomial \(its bits\)"):
+        q_multinomial(4000, [1000, 1000, 1000], 2)
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------
