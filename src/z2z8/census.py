@@ -10,23 +10,21 @@ The walk adds one coordinate at a time, the column-by-column construction
 behind echelon and Howell forms over Z_{2^e}.  A subgroup M of P x Z_m, P the
 group on the coordinates already added, is fixed by its part K in P, the
 image of its new coordinate and one coset of K in P (see `_children`), so
-every subgroup comes exactly once, with no seen-set.  The walk carries each
-subgroup's coset words with it, the first word of each of its cosets: M's
-are K's with each new coordinate value below the index of M's image (see
-`_carry`), so the cosets of K come one step each and no group of words, P
-or the ambient, is ever built or scanned.  It carries each subgroup's
-torsion sizes too: M's follow from K's and a few lookups in tables built
-once per K, so no word of M is counted.  `_subgroups`, the one stream that
-`census` and `enumerate_subgroups` read, walks up to the last coordinate and
-takes that coordinate's subgroups, nearly all of them, straight from their
-parents' `_children`, with their sizes and no coset words; `census` tallies
-the sizes and `enumerate_subgroups` builds the subgroups.  The levels are
-chained generators, so a walk holds one subgroup per coordinate.  It runs on
-the packed words of `codes`, placing values in a coordinate by the words of
-`_Ambient.axes`, and no subgroup is decoded.  `codes._torsion_sizes` is the
-word-counting reference for the carried sizes; the tests keep the other
-references, the older walk by index-2 covers and a scan of P for the cosets
-of K.
+every subgroup comes exactly once, with no seen-set.  `_walk` yields each
+subgroup as K and a word x to adjoin, with its torsion sizes and K's coset
+words, the first word of each of K's cosets in P: a further coordinate builds
+M and carries M's coset words, which are K's with each new coordinate value
+below the index of M's image (see `_carry`), so the cosets come one step
+each and no group of words is ever scanned.  The last coordinate's
+subgroups are yielded unbuilt and uncarried: `census` tallies their sizes
+and `enumerate_subgroups` builds them.  The sizes follow from K's and a few
+lookups in tables built once per K, so no word of M is counted.  The levels
+are chained generators, so a walk holds one subgroup per coordinate.  It
+runs on the packed words of `codes`, placing values in a coordinate by the
+words of `_Ambient.axes`, and no subgroup is decoded.
+`codes._torsion_sizes` is the word-counting reference for the carried
+sizes; the tests keep the other references, the older walk by index-2
+covers and a scan of P for the cosets of K.
 """
 
 from __future__ import annotations
@@ -52,6 +50,10 @@ __all__ = [
     "census_to_json",
 ]
 
+# an item of `_walk`: (K, x, torsion sizes, b, K's coset words)
+_Item = tuple[frozenset[int], int, tuple[int, ...], int, list[int]]
+
+
 def _carry(ambient: codes._Ambient, i: int, reps: list[int]) -> list[list[int]]:
     """The coset words in P x Z_m of the subgroups M of P x Z_m whose part K
     in P has the coset words `reps`, by the order 2^b of M's image in
@@ -70,11 +72,10 @@ def _carry(ambient: codes._Ambient, i: int, reps: list[int]) -> list[list[int]]:
 
 
 def _children(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[int],
-              sizes: tuple[int, ...], grown: dict
-              ) -> Iterator[tuple[frozenset[int], int, tuple[int, ...], int]]:
+              sizes: tuple[int, ...], grown: dict) -> Iterator[_Item]:
     """The subgroups of P x Z_m whose part in P is `sub`, other than `sub`
-    itself, as (sub, x, torsion sizes, b): the subgroup is `sub` + <x>, and
-    its image in coordinate i has order 2^b.
+    itself, as items of `_walk` (sub, x, torsion sizes, b, reps): the
+    subgroup is `sub` + <x>, and its image in coordinate i has order 2^b.
 
     P is the group on the coordinates below i, Z_m with m = 2^top is
     coordinate i, and `reps` holds the coset words of `sub` in P; the moduli
@@ -107,7 +108,7 @@ def _children(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[i
         # 1 are all the coset words, in their order
         doubled = (*(s + 1 for s in sizes[:-1]), sizes[-1])
         for v in reps:
-            yield sub, v | axis[1], doubled, 1
+            yield sub, v | axis[1], doubled, 1, reps
         return
     mask, e = ambient.mask, ambient.e  # top = e on a Z_{2^e} coordinate
     # built once per K: 2^t K for t < e, a half in K of each word of 2K, and
@@ -148,51 +149,41 @@ def _children(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[i
     for b in range(1, e + 1):
         image = axis[1 << (e - b)]  # 2^a e_i, with a = e - b
         for v, by_b in chain.from_iterable(cosets[: b + 1]):
-            yield sub, v | image, by_b[b], b
+            yield sub, v | image, by_b[b], b, reps
 
 
-def _extend(ambient: codes._Ambient, i: int,
-            level: Iterable[tuple[tuple[frozenset[int], tuple[int, ...]], list[int]]]
-            ) -> Iterator[tuple[tuple[frozenset[int], tuple[int, ...]], list[int]]]:
-    """The step of `_walk`: the subgroups of P x Z_m with their torsion sizes
-    and coset words, from those of P: each subgroup of P, then its children
-    (see `_children` and `_carry`)."""
+def _extend(ambient: codes._Ambient, i: int, level: Iterable[_Item]) -> Iterator[_Item]:
+    """The step of `_walk`: the subgroups of P x Z_m from those of P, each
+    one and then its children (see `_children`).  A subgroup of P is built,
+    and its coset words carried from its part's (see `_carry`, run once per
+    part), only here, where coordinate i needs them."""
     grown: dict = {}
-    for (sub, sizes), reps in level:
-        carried = _carry(ambient, i, reps)
-        yield (sub, sizes), carried[0]
-        for _, x, child, b in _children(ambient, i, sub, reps, sizes, grown):
-            yield (ambient.adjoin(sub, x), child), carried[b]
+    part = None
+    for sub, x, sizes, b, reps in level:
+        if i:  # the root, on no coordinate, comes with its coset words
+            if sub is not part:  # the siblings of one part come together
+                part, carried = sub, _carry(ambient, i - 1, reps)
+            reps = carried[b]
+        if x:
+            sub = ambient.adjoin(sub, x)
+        yield sub, 0, sizes, 0, reps
+        yield from _children(ambient, i, sub, reps, sizes, grown)
 
 
-def _walk(ambient: codes._Ambient, n: int
-          ) -> Iterator[tuple[tuple[frozenset[int], tuple[int, ...]], list[int]]]:
-    """Every subgroup of the group on the first n coordinates, grown from the
-    zero subgroup by `_extend` one coordinate at a time, as pairs
-    ((subgroup, its torsion sizes), its coset words in that group); the
-    root's coset words are [0].  The levels are chained generators, so a
-    walk holds one subgroup per coordinate and no list of them, and builds
-    no group of words."""
-    level: Iterable = [((frozenset([0]), (0,) * (ambient.e + 1)), [0])]
-    for i in range(n):
+def _walk(ambient: codes._Ambient) -> Iterator[_Item]:
+    """Every subgroup of the ambient, grown from the zero subgroup by
+    `_extend` one coordinate at a time, as items (K, x, sizes, b, reps): the
+    subgroup is K when x == 0 (and b == 0), else K + <x>, whose image in the
+    last coordinate has order 2^b; K lies on the coordinates before the
+    last, `reps` are its coset words there, and `sizes` are the subgroup's
+    torsion sizes.  The reader builds the subgroup if it needs it; on n >= 1
+    coordinates its coset words are `_carry(ambient, n - 1, reps)[b]`.  The
+    levels are chained generators, so a walk holds one subgroup per
+    coordinate and no list of them."""
+    level: Iterable[_Item] = [(frozenset([0]), 0, (0,) * (ambient.e + 1), 0, [0])]
+    for i in range(len(ambient.moduli)):
         level = _extend(ambient, i, level)
     return iter(level)
-
-
-def _subgroups(ambient: codes._Ambient
-               ) -> Iterator[tuple[frozenset[int], int, tuple[int, ...], int]]:
-    """Every subgroup with its torsion sizes, in the order of `_walk` over
-    every coordinate, as (K, x, sizes, b): K is a subgroup on the coordinates
-    before the last, and the subgroup is K itself when x == 0 (and b == 0),
-    else K + <x>, whose image in the last coordinate has order 2^b (see
-    `_children`).  The reader builds them if it needs them; no coset words
-    are built for them."""
-    n = len(ambient.moduli)
-    grown: dict = {}
-    for (sub, sizes), reps in _walk(ambient, max(n - 1, 0)):
-        yield sub, 0, sizes, 0
-        if n:
-            yield from _children(ambient, n - 1, sub, reps, sizes, grown)
 
 
 def enumerate_subgroups(alpha: int, beta: int, e: int = 3) -> list[Code]:
@@ -202,7 +193,7 @@ def enumerate_subgroups(alpha: int, beta: int, e: int = 3) -> list[Code]:
     """
     _formula_census(alpha, beta, e, "enumerate_subgroups")
     ambient = codes._Ambient(alpha, beta, e)
-    walked = (ambient.adjoin(sub, x) if x else sub for sub, x, _, _ in _subgroups(ambient))
+    walked = (ambient.adjoin(sub, x) if x else sub for sub, x, *_ in _walk(ambient))
     subgroups = sorted(walked, key=lambda s: (len(s), sorted(s)))
     return [Code._from_packed(ambient, sub) for sub in subgroups]
 
@@ -221,7 +212,7 @@ class TypeCensus(NamedTuple):
 def census(alpha: int, beta: int, e: int = 3) -> TypeCensus:
     """Enumerate all subgroups and tally them by type, unless the formula counts too many (`check_work`).
 
-    The torsion sizes of `_subgroups` are tallied as they come, so the
+    The torsion sizes of `_walk` are tallied as they come, so the
     census holds no subgroup, and builds none of the last coordinate's.
     Each distinct sizes tuple is then typed once; a type fixes its torsion
     sizes, so no two sizes tuples share one.
@@ -235,7 +226,7 @@ def _tally(alpha: int, beta: int, e: int) -> TypeCensus:
     ambient = codes._Ambient(alpha, beta, e)
     tallies = {
         codes._type_from_sizes(sizes, e): n
-        for sizes, n in Counter(map(itemgetter(2), _subgroups(ambient))).items()
+        for sizes, n in Counter(map(itemgetter(2), _walk(ambient))).items()
     }
     total = sum(tallies.values())
     return TypeCensus(alpha, beta, e, dict(sorted(tallies.items())), total, "enumeration")

@@ -98,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--breakdown", action="store_true",
                    help="also print the product-formula factors and delta")
     p.add_argument("--dual", action="store_true", help="also print the dual type and its count")
+    p.set_defaults(handler=cmd_count)
 
     p = sub.add_parser("sequence", parents=[common], help="emit terms of a sequence family")
     p.add_argument("family", nargs="?", default=None,
@@ -106,17 +107,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="six comma-separated affine expressions in r, e.g. 'r+1,2,r,1,1,0'")
     p.add_argument("--start", type=int, default=None, help="first index (family default)")
     p.add_argument("--end", type=int, default=None, help="last index, inclusive")
+    p.set_defaults(handler=cmd_sequence)
 
     p = sub.add_parser("verify", parents=[common],
                        help="compare the counting formula with exhaustive enumeration")
     p.add_argument("--alpha", type=_nonneg, required=True)
     p.add_argument("--beta", type=_nonneg, required=True)
     p.add_argument("--e", type=int, choices=[2, 3], default=3)
+    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("check-identities", parents=[common],
                        help="sweep the known count identities")
     p.add_argument("--max-alpha", type=_nonneg, default=4)
     p.add_argument("--max-beta", type=_nonneg, default=4)
+    p.set_defaults(handler=cmd_check_identities)
 
     p = sub.add_parser("matrix", parents=[common], help="emit a standard-form generator matrix")
     for name in ("alpha", "beta", "k0", "k1", "k2", "k3"):
@@ -127,18 +131,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parity", action="store_true",
                    help="also emit the parity-check matrix, whose rows generate the dual code (e = 2 or 3)")
     p.add_argument("--span", action="store_true", help="also emit every codeword")
+    p.set_defaults(handler=cmd_matrix)
 
     p = sub.add_parser("census-export", parents=[common],
                        help="export the enumerated type census as JSON")
     p.add_argument("--alpha", type=_nonneg, required=True)
     p.add_argument("--beta", type=_nonneg, required=True)
     p.add_argument("--e", type=int, choices=[2, 3], default=3)
+    p.set_defaults(handler=cmd_census_export)
 
     return parser
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (exit_code, output_text)
+# subcommands: each returns (exit_code, output_text); build_parser registers
+# each as its subparser's `handler`
 # ---------------------------------------------------------------------------
 
 def cmd_count(args) -> tuple[int, str]:
@@ -323,14 +330,6 @@ def cmd_census_export(args) -> tuple[int, str]:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "count": cmd_count,
-        "sequence": cmd_sequence,
-        "verify": cmd_verify,
-        "check-identities": cmd_check_identities,
-        "matrix": cmd_matrix,
-        "census-export": cmd_census_export,
-    }
     # counts of any length print in full: lift the int -> str digit limit
     # (Python 3.11+) for the command and give the caller's back afterwards
     lift = hasattr(sys, "set_int_max_str_digits")
@@ -338,7 +337,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        code, output = handlers[args.command](args)
+        code, output = args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

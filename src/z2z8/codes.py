@@ -63,6 +63,9 @@ class MixedWord:
         if e not in (2, 3):
             raise ValueError(f"ring exponent must be 2 or 3, got {e}")
         bin, mod, m = tuple(bin), tuple(mod), 1 << e
+        for x in bin + mod:  # 1.0 == 1 would pass the range checks; bool passes as an int
+            if not isinstance(x, int):
+                raise ValueError(f"entries must be integers, got {x!r}")
         if any(x not in (0, 1) for x in bin):
             raise ValueError(f"binary entries must be 0/1, got {bin}")
         if any(not 0 <= x < m for x in mod):

@@ -11,7 +11,7 @@ import pytest
 
 from reference import coset_scan, subgroup_sets_by_covers
 from z2z8.census import (
-    _subgroups,
+    _carry,
     _walk,
     census,
     census_to_json,
@@ -75,7 +75,7 @@ COVER_WALK_AMBIENTS = [
 
 def walked_subgroups(ambient):
     """The subgroups of the ambient, in the order of the walk over every coordinate."""
-    return [sub for (sub, _), _ in _walk(ambient, len(ambient.moduli))]
+    return [ambient.adjoin(sub, x) if x else sub for sub, x, *_ in _walk(ambient)]
 
 
 @pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
@@ -83,19 +83,6 @@ def test_coordinate_walk_matches_cover_walk(alpha, beta, e):
     # the same packed subgroups, in the same order, as the lattice walk by covers
     subs = enumerate_subgroups(alpha, beta, e)
     assert [c._packed for c in subs] == subgroup_sets_by_covers(_Ambient(alpha, beta, e))
-
-
-@pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
-def test_walk_without_sizes_builds_the_sized_walks_subgroups(alpha, beta, e):
-    # `census` and `enumerate_subgroups` read `_subgroups`, which takes the
-    # last coordinate's subgroups straight from `_children`, unbuilt:
-    # subgroup by subgroup, in walk order, built by `adjoin` they and their
-    # sizes are those of the walk over every coordinate
-    ambient = _Ambient(alpha, beta, e)
-    full = [(sub, sizes) for (sub, sizes), _ in _walk(ambient, len(ambient.moduli))]
-    streamed = [(ambient.adjoin(sub, x) if x else sub, sizes)
-                for sub, x, sizes, _ in _subgroups(ambient)]
-    assert streamed == full
 
 
 @pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
@@ -107,11 +94,38 @@ def test_carried_coset_words_are_the_coset_scans(alpha, beta, e):
     ambient = _Ambient(alpha, beta, e)
     n = len(ambient.moduli)
     walked = 0
-    for (sub, _), reps in _walk(ambient, n):
+    for sub, x, _, b, reps in _walk(ambient):
+        if n:  # the last coordinate's subgroups come unbuilt, with their part's words
+            sub, reps = ambient.adjoin(sub, x) if x else sub, _carry(ambient, n - 1, reps)[b]
         assert reps[0] == 0 and len(reps) == 2 ** ambient.bits // len(sub)
         assert reps == coset_scan(ambient, n, sub)
         walked += 1
     assert walked == census(alpha, beta, e).total_subgroups
+
+
+def test_walk_holds_one_subgroup_per_coordinate(monkeypatch):
+    # the levels are chained generators: the first item of a 2^120-word
+    # ambient, the zero subgroup, comes through all 40 of them at once,
+    # with no subgroup built and one carry per level after the first.  The
+    # carry is stubbed: the zero subgroup's coset words on the first 39
+    # coordinates are that whole group, 2^117 words
+    module = importlib.import_module("z2z8.census")
+    carried = []
+
+    def refuse(*args):
+        raise AssertionError("the walk built a subgroup")
+
+    def stub(ambient, i, reps):
+        carried.append(i)
+        return [reps] * ambient.moduli[i].bit_length()
+
+    monkeypatch.setattr(_Ambient, "adjoin", refuse)
+    monkeypatch.setattr(module, "_carry", stub)
+    start = time.perf_counter()
+    sub, x, sizes, b, reps = next(_walk(_Ambient(0, 40, 3)))
+    assert time.perf_counter() - start < 1.0
+    assert (sub, x, sizes, b, reps) == (frozenset([0]), 0, (0, 0, 0, 0), 0, [0])
+    assert carried == list(range(39))
 
 
 def test_walk_builds_no_prefix_group(monkeypatch):
@@ -258,12 +272,12 @@ def test_census_matches_per_subgroup_classification(alpha, beta, e):
 
 @pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
 def test_carried_sizes_match_counted_signatures(alpha, beta, e):
-    # subgroup by subgroup, in walk order: the sizes `_subgroups` carries
+    # subgroup by subgroup, in walk order: the sizes `_walk` carries
     # against the words of the full walk's subgroups, counted by the
     # reference
     ambient = _Ambient(alpha, beta, e)
     counted = [_torsion_sizes(sub, ambient) for sub in walked_subgroups(ambient)]
-    assert [sizes for _, _, sizes, _ in _subgroups(ambient)] == counted
+    assert [sizes for _, _, sizes, *_ in _walk(ambient)] == counted
 
 
 def test_census_builds_no_subgroup_of_the_last_coordinate(monkeypatch):

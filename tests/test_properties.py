@@ -129,7 +129,7 @@ def test_dual_laws(case):
 def walked_subgroups(alpha, beta, e):
     """How often the coordinate walk yields each subgroup, once per ambient."""
     ambient = _Ambient(alpha, beta, e)
-    return Counter(sub for (sub, _), _ in _walk(ambient, len(ambient.moduli)))
+    return Counter(ambient.adjoin(sub, x) if x else sub for sub, x, *_ in _walk(ambient))
 
 
 @few

@@ -178,6 +178,25 @@ def test_mixed_word_validation_messages(args, message):
         MixedWord(*args)
 
 
+@pytest.mark.parametrize("args,message", [
+    (((1.0,), (2.0,)), "entries must be integers, got 1.0"),
+    (((0,), (2.0,)), "entries must be integers, got 2.0"),
+    (((0,), ("3",)), "entries must be integers, got '3'"),
+    (((None,), (0,)), "entries must be integers, got None"),
+])
+def test_mixed_word_refuses_non_integer_entries(args, message):
+    # 1.0 == 1 and 2.0 == 2 pass the range checks, and such a word would
+    # equal MixedWord((1,), (2,)) but fail deep inside `span`
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MixedWord(*args)
+
+
+def test_mixed_word_accepts_bool_entries():
+    # bool is an int subclass, as in TypeProfile
+    w = MixedWord((True,), (False, True))
+    assert w == MixedWord((1,), (0, 1)) and span([w]).words == span([MixedWord((1,), (0, 1))]).words
+
+
 def test_standard_form_matrix_contract():
     m = zero_standard_form(TypeProfile(1, 1, 1, 0, 0, 0))
     assert repr(m) == (
