@@ -235,22 +235,24 @@ def _tally(alpha: int, beta: int, e: int) -> TypeCensus:
 def formula_census(alpha: int, beta: int, e: int = 3) -> TypeCensus:
     """Census predicted by the counting formulas, one per valid profile; bad input raises as in `census`.
     Refused (AmbientTooLargeError) before the first count if its types, (alpha+1) C(beta+e, e), pass the
-    work limit; each count is guarded on its bits as in `counting.count`."""
+    work limit; each count is guarded on its bits as in `counting.count`, and all on their summed bits."""
     return _formula_census(alpha, beta, e, None)
 
 
 def _formula_census(alpha: int, beta: int, e: int, job: str | None) -> TypeCensus:
-    """`formula_census`, refused for a `job` once the running total of its counts passes the limit."""
+    """`formula_census`, refused once its counts' summed bits, or for a `job` their sum, pass the limit."""
     codes._Ambient(alpha, beta, e)  # raises ValueError as census does; builds no words
-    what = f"{job}({alpha}, {beta}, {e}) (subgroups, counted up to the limit)"
+    name = f"{job or 'formula_census'}({alpha}, {beta}, {e})"
+    what, bits_what = f"{name} (subgroups, counted up to the limit)", f"{name} (the bits of its counts)"
     if job:  # before any count, its 2-torsion (Z2)^n alone: [n; n//2]_2 >= 2^(n//2 * (n+1)//2), n = alpha+beta
         check_work(1 << min((alpha + beta) // 2 * ((alpha + beta + 1) // 2), 64), what)
-    check_work((alpha + 1) * math.comb(beta + e, e),
-               f"{job or 'formula_census'}({alpha}, {beta}, {e}) (its types)")
-    counts, total = {}, 0
+    check_work((alpha + 1) * math.comb(beta + e, e), f"{name} (its types)")
+    counts, total, bits = {}, 0, 0
     for ks in counting._valid_ks(alpha, beta, e):
         counts[ks] = n = counting.count(counting._z8_slots(alpha, beta, ks))
         total += n
+        bits += n.bit_length()
+        check_work(bits, bits_what)
         if job:
             check_work(total, what)
     return TypeCensus(alpha, beta, e, counts, total, "formula")

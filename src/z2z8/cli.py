@@ -1,8 +1,9 @@
 """Command-line interface: count queries, sequence families, oracle checks.
 
-Exit codes: 0 success / all checks match, 1 internal inconsistency, 2 usage
-error, 3 resource guard (predicted work over `errors.WORK_LIMIT`).  Counts
-are printed as decimal strings everywhere, JSON included, so none truncates.
+Exit codes: 0 success / all checks match, 1 internal inconsistency, 2 bad
+input (any `ValueError`, the library's included, or an unwritable `--out`),
+3 resource guard (predicted work over `errors.WORK_LIMIT`); only `main` maps
+them.  Counts print as decimal strings, JSON included, so none truncates.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ MAX_SEQUENCE_SPAN = 10**4  # the range's shape: each term costs a `count` call
 _AFFINE_PATTERN = r"(?:(\d*)\*?r(?=[+-]|$))?([+-]?\d+)?"
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -159,8 +160,6 @@ def cmd_count(args) -> tuple[int, str]:
         if profile.is_valid():
             delta = counting.delta_exponents(profile).delta
     if args.dual:
-        if not profile.is_valid():
-            raise UsageError(f"--dual needs a valid profile, got {profile}")
         dual = counting.dual_type(profile)
         dual_count = counting.count(dual)
 
@@ -249,8 +248,6 @@ def cmd_verify(args) -> tuple[int, str]:
 
 
 def cmd_check_identities(args) -> tuple[int, str]:
-    if args.max_alpha < 1 or args.max_beta < 1:
-        raise UsageError("bounds must be >= 1")
     report = identities.check_identities(args.max_alpha, args.max_beta)
     if args.format == "json":
         doc = {
@@ -287,12 +284,7 @@ def cmd_matrix(args) -> tuple[int, str]:
     if args.e == 2 and args.k3:
         raise UsageError("--k3 has no meaning for e = 2 profiles")
     ks = (args.k0, args.k1, args.k2, args.k3)[: args.e + 1]
-    try:
-        m = codes._standard_form(args.alpha, args.beta, ks, args.e, None if args.zero else args.seed)
-    except AmbientTooLargeError:
-        raise
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    m = codes._standard_form(args.alpha, args.beta, ks, args.e, None if args.zero else args.seed)
 
     rows = codes.assemble(m)
     sections: list[tuple[str, list]] = [("generator", rows)]
@@ -338,15 +330,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         code, output = args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AmbientTooLargeError as exc:
+    except AmbientTooLargeError as exc:  # a ValueError, so caught before the last clause
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
     except SelfCheckError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # bad input: UsageError and every refusal of the library
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if lift:
             sys.set_int_max_str_digits(limit)

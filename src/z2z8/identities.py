@@ -72,7 +72,11 @@ def check_identities(max_alpha: int, max_beta: int) -> IdentityReport:
     entries: list[IdentityCheck] = []
     A, B = max_alpha, max_beta
     check_work((A + 1) * (A + 2) // 2 * comb(B + 4, 4), "check_identities (profiles in the box)")
-    table = {p: count(p) for p in valid_profiles(A, B)}
+    table, bits = {}, 0
+    for p in valid_profiles(A, B):
+        table[p] = n = count(p)
+        bits += n.bit_length()
+        check_work(bits, "check_identities (the bits of its counts)")
 
     def _n(*slots: int) -> int:
         # a TypeProfile hashes and compares as the tuple of its fields, so

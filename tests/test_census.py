@@ -383,6 +383,15 @@ def test_formula_census_is_refused_on_its_types_at_once(monkeypatch):
     assert time.perf_counter() - start < 1
 
 
+def test_formula_census_is_refused_on_the_bits_of_its_counts():
+    # 501 types, each admitted by count's own guard, but over 10^7 bits in all: refused part way
+    start = time.perf_counter()
+    with pytest.raises(AmbientTooLargeError, match=r"formula_census\(500, 0, 3\) \(the bits of its counts\)"):
+        formula_census(500, 0, 3)
+    assert time.perf_counter() - start < 1
+    assert formula_census(300, 0, 3).total_subgroups > 0  # 4.5 * 10^6 bits
+
+
 def test_formula_census_mirrors_enumeration():
     predicted = formula_census(1, 2, 3)
     enumerated = census(1, 2, 3)

@@ -411,6 +411,16 @@ def test_check_identities_guard_refuses_a_large_box_at_once(capsys):
     assert capsys.readouterr().err.startswith("resource guard: check_identities")
 
 
+def test_check_identities_guard_refuses_the_bits_of_its_counts(capsys):
+    # 25,755 profiles pass the box guard, but their counts hold 2.2 * 10^7 bits
+    start = time.perf_counter()
+    assert main(["check-identities", "--max-alpha", "100", "--max-beta", "1"]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("resource guard: check_identities (the bits of its counts)")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # matrix
 # ---------------------------------------------------------------------------
@@ -538,6 +548,20 @@ def test_out_unwritable_is_usage_error(capsys, tmp_path):
     code = main(["sequence", "t2", "--out", str(tmp_path / "missing" / "seq.txt")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["matrix", "--alpha", "1", "--beta", "1", "--k0", "2", "--k1", "0", "--k2", "0"],
+     "profile (1,1;2,0,0,0) is not realizable"),
+    (["check-identities", "--max-alpha", "0"], "bounds must be >= 1"),
+    (["count", "--alpha", "1", "--beta", "1", "--k0", "2", "--k1", "0", "--k2", "0", "--k3", "0",
+      "--dual"], "invalid type profile (1,1;2,0,0,0): needs k0 <= alpha and k1+k2+k3 <= beta"),
+], ids=["matrix", "check-identities", "count-dual"])
+def test_library_refusal_is_bad_input(capsys, argv, message):
+    # the library's ValueError reaches main as it was raised: exit 2, its own message
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
