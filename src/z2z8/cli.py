@@ -3,7 +3,9 @@
 Exit codes: 0 success / all checks match, 1 internal inconsistency, 2 bad
 input (any `ValueError`, the library's included, or an unwritable `--out`),
 3 resource guard (predicted work over `errors.WORK_LIMIT`); only `main` maps
-them.  Counts print as decimal strings, JSON included, so none truncates.
+them.  Integer flags are plain `int`s, left to the library to refuse, and
+`--format` offers only what a subcommand writes.  Counts print as decimal
+strings, JSON included, so none truncates.
 """
 
 from __future__ import annotations
@@ -64,16 +66,6 @@ def family_term(exprs: Sequence[tuple[int, int]], r: int) -> int:
     return counting.count(TypeProfile(*slots))
 
 
-def _nonneg(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {v}")
-    return v
-
-
 def _json(doc, indent: int | None = 2) -> str:
     """`doc` as JSON text and a newline; json loads only for --format json."""
     import json
@@ -86,22 +78,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="z2z8",
         description="Exact counts of additive codes over Z2^alpha x Z8^beta by type.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["plain", "json", "bfile"], default="plain",
-                        help="output format (bfile applies to sequences only)")
-    common.add_argument("--out", metavar="PATH", default=None,
-                        help="write output to PATH instead of stdout")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="PATH", default=None,
+                     help="write output to PATH instead of stdout")
+    common = argparse.ArgumentParser(add_help=False, parents=[out])
+    common.add_argument("--format", choices=["plain", "json"], default="plain", help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", parents=[common], help="count codes of one type")
     for name in ("alpha", "beta", "k0", "k1", "k2", "k3"):
-        p.add_argument(f"--{name}", type=_nonneg, required=True)
+        p.add_argument(f"--{name}", type=int, required=True)
     p.add_argument("--breakdown", action="store_true",
                    help="also print the product-formula factors and delta")
     p.add_argument("--dual", action="store_true", help="also print the dual type and its count")
     p.set_defaults(handler=cmd_count)
 
-    p = sub.add_parser("sequence", parents=[common], help="emit terms of a sequence family")
+    p = sub.add_parser("sequence", parents=[out], help="emit terms of a sequence family")
+    p.add_argument("--format", choices=["plain", "json", "bfile"], default="plain", help="output format")
     p.add_argument("family", nargs="?", default=None,
                    help=f"built-in family name ({', '.join(sorted(FAMILIES))})")
     p.add_argument("--exprs", default=None, metavar="A,B,K0,K1,K2,K3",
@@ -112,32 +105,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="compare the counting formula with exhaustive enumeration")
-    p.add_argument("--alpha", type=_nonneg, required=True)
-    p.add_argument("--beta", type=_nonneg, required=True)
+    p.add_argument("--alpha", type=int, required=True)
+    p.add_argument("--beta", type=int, required=True)
     p.add_argument("--e", type=int, choices=[2, 3], default=3)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("check-identities", parents=[common],
                        help="sweep the known count identities")
-    p.add_argument("--max-alpha", type=_nonneg, default=4)
-    p.add_argument("--max-beta", type=_nonneg, default=4)
+    p.add_argument("--max-alpha", type=int, default=4)
+    p.add_argument("--max-beta", type=int, default=4)
     p.set_defaults(handler=cmd_check_identities)
 
     p = sub.add_parser("matrix", parents=[common], help="emit a standard-form generator matrix")
     for name in ("alpha", "beta", "k0", "k1", "k2", "k3"):
-        p.add_argument(f"--{name}", type=_nonneg, required=name not in ("k3",), default=0 if name == "k3" else None)
+        p.add_argument(f"--{name}", type=int, required=name not in ("k3",), default=0 if name == "k3" else None)
     p.add_argument("--e", type=int, choices=[2, 3], default=3)
-    p.add_argument("--seed", type=_nonneg, default=0)
-    p.add_argument("--zero", action="store_true", help="use all-zero free blocks instead of seeded random ones")
+    blocks = p.add_mutually_exclusive_group()
+    blocks.add_argument("--seed", type=int, default=0)
+    blocks.add_argument("--zero", action="store_true", help="use all-zero free blocks instead of seeded random ones")
     p.add_argument("--parity", action="store_true",
                    help="also emit the parity-check matrix, whose rows generate the dual code (e = 2 or 3)")
     p.add_argument("--span", action="store_true", help="also emit every codeword")
     p.set_defaults(handler=cmd_matrix)
 
-    p = sub.add_parser("census-export", parents=[common],
+    p = sub.add_parser("census-export", parents=[out],
                        help="export the enumerated type census as JSON")
-    p.add_argument("--alpha", type=_nonneg, required=True)
-    p.add_argument("--beta", type=_nonneg, required=True)
+    p.add_argument("--alpha", type=int, required=True)
+    p.add_argument("--beta", type=int, required=True)
     p.add_argument("--e", type=int, choices=[2, 3], default=3)
     p.set_defaults(handler=cmd_census_export)
 
@@ -282,7 +276,7 @@ def cmd_check_identities(args) -> tuple[int, str]:
 
 def cmd_matrix(args) -> tuple[int, str]:
     if args.e == 2 and args.k3:
-        raise UsageError("--k3 has no meaning for e = 2 profiles")
+        raise UsageError(f"--k3 has no meaning for e = 2 profiles, got --k3 {args.k3}")
     ks = (args.k0, args.k1, args.k2, args.k3)[: args.e + 1]
     m = codes._standard_form(args.alpha, args.beta, ks, args.e, None if args.zero else args.seed)
 

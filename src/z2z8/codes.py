@@ -193,7 +193,7 @@ class _Ambient:
         if e not in (2, 3):
             raise ValueError(f"ring exponent must be 2 or 3, got {e}")
         if alpha < 0 or beta < 0:
-            raise ValueError("dimensions must be non-negative")
+            raise ValueError(f"dimensions must be non-negative, got {(alpha, beta)}")
         self.alpha, self.beta, self.e = alpha, beta, e
         self.bits = alpha + e * beta  # the group has 2^bits words
         self.moduli = (2,) * alpha + (1 << e,) * beta
@@ -411,7 +411,7 @@ def _validate_ks(alpha: int, beta: int, ks: tuple[int, ...], e: int) -> None:
     if len(ks) != e + 1:
         raise ValueError(f"e={e} standard form needs {e + 1} generator counts, got {ks}")
     if any(k < 0 for k in ks) or alpha < 0 or beta < 0:
-        raise ValueError(f"negative dimensions in ({alpha},{beta};{ks})")
+        raise ValueError(f"negative dimensions in {_type_str(alpha, beta, ks)}")
     if ks[0] > alpha or sum(ks[1:]) > beta:
         raise ValueError(f"profile {_type_str(alpha, beta, ks)} is not realizable")
 
@@ -493,6 +493,8 @@ def _standard_form(alpha: int, beta: int, ks: tuple[int, ...], e: int,
     row within a block; the one builder for both rings.  Refused before any
     entry is drawn if its k0 + l rows of alpha + beta entries are too many."""
     _validate_ks(alpha, beta, ks, e)
+    if seed is not None and seed < 0:  # Random(-s) draws the blocks of Random(s)
+        raise ValueError(f"seed must be non-negative, got {seed}")
     check_work((ks[0] + sum(ks[1:])) * (alpha + beta), "standard form (the entries of its rows)")
     entry = (lambda m: 0) if seed is None else random.Random(seed).randrange
     shapes = sorted(_block_shapes(alpha, beta, ks, e).items())
@@ -508,7 +510,7 @@ def zero_standard_form(profile: TypeProfile) -> StandardFormMatrix:
 
 
 def random_standard_form(profile: TypeProfile, seed: int) -> StandardFormMatrix:
-    """Standard form with uniformly drawn free blocks; reproducible per seed."""
+    """Standard form with uniformly drawn free blocks; reproducible per seed (>= 0)."""
     return _standard_form(profile.alpha, profile.beta, profile.ks, 3, seed)
 
 

@@ -68,7 +68,7 @@ def check_identities(max_alpha: int, max_beta: int) -> IdentityReport:
     sweeps read those counts and count only the profiles outside the bounds.
     """
     if max_alpha < 1 or max_beta < 1:
-        raise ValueError("bounds must be >= 1")
+        raise ValueError(f"bounds must be >= 1, got {(max_alpha, max_beta)}")
     entries: list[IdentityCheck] = []
     A, B = max_alpha, max_beta
     check_work((A + 1) * (A + 2) // 2 * comb(B + 4, 4), "check_identities (profiles in the box)")

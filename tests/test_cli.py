@@ -137,10 +137,50 @@ def test_count_json(capsys):
 
 
 def test_count_rejects_negative_argument(capsys):
+    assert main(["count", "--alpha", "-2", "--beta", "0",
+                 "--k0", "0", "--k1", "0", "--k2", "0", "--k3", "0"]) == 2
+    assert capsys.readouterr().err == "error: alpha must be a non-negative integer, got -2\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["count", "--alpha", "two", "--beta", "0", "--k0", "0", "--k1", "0", "--k2", "0", "--k3", "0"],
+     "invalid int value: 'two'"),
+    # each subcommand accepts only the formats it writes
+    (["count", "--alpha", "1", "--beta", "0", "--k0", "0", "--k1", "0", "--k2", "0", "--k3", "0",
+      "--format", "bfile"], "invalid choice: 'bfile'"),
+    (["census-export", "--alpha", "1", "--beta", "1", "--format", "plain"],
+     "unrecognized arguments: --format plain"),
+    (["matrix", "--alpha", "1", "--beta", "1", "--k0", "1", "--k1", "0", "--k2", "0",
+      "--zero", "--seed", "-1"], "argument --seed: not allowed with argument --zero"),
+], ids=["non-integer", "count-bfile", "census-export-format", "matrix-zero-seed"])
+def test_parser_refusal_is_bad_input(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
-        main(["count", "--alpha", "-2", "--beta", "0",
-              "--k0", "0", "--k1", "0", "--k2", "0", "--k3", "0"])
+        main(argv)
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: z2z8") and message in err
+
+
+def test_every_negative_flag_is_refused_by_the_library(capsys):
+    # no flag is checked twice: the library's ValueError names the value, exit 2
+    profile = {"alpha": "2", "beta": "2", "k0": "1", "k1": "1", "k2": "1", "k3": "0"}
+    commands = {
+        "count": profile,
+        "verify": {"alpha": "1", "beta": "1"},
+        "check-identities": {"max-alpha": "2", "max-beta": "2"},
+        "matrix": {**profile, "seed": "0"},
+        "census-export": {"alpha": "1", "beta": "1"},
+    }
+    refused = 0
+    for command, flags in commands.items():
+        for name in flags:
+            argv = [command, *(x for k, v in flags.items()
+                               for x in (f"--{k}", "-1" if k == name else v))]
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and "-1" in err, (argv, err)
+            refused += 1
+    assert refused == 19
 
 
 def test_count_dual_of_invalid_profile_is_usage_error(capsys):
@@ -272,6 +312,8 @@ def test_sequence_usage_errors(capsys):
     assert run(capsys, "sequence", "t1", "--exprs", "r,r,r,r,r,r")[0] == 2
     assert run(capsys, "sequence", "--exprs", "r,r,r")[0] == 2
     assert run(capsys, "sequence", "t1", "--start", "1", "--end", "99999")[0] == 2
+    assert main(["sequence", "t2", "--start", "5", "--end", "3"]) == 2
+    assert capsys.readouterr().err == "error: empty range: start 5 > end 3\n"
 
 
 def test_sequence_slot_too_large_for_an_index_is_usage_error(capsys):
@@ -457,6 +499,12 @@ def test_matrix_invalid_profile_is_usage_error(capsys):
     assert code == 2
 
 
+def test_matrix_z4_refuses_k3(capsys):
+    assert main(["matrix", "--alpha", "2", "--beta", "2", "--k0", "1", "--k1", "1", "--k2", "0",
+                 "--e", "2", "--k3", "1"]) == 2
+    assert capsys.readouterr().err == "error: --k3 has no meaning for e = 2 profiles, got --k3 1\n"
+
+
 def test_matrix_z4(capsys):
     code, out = run(capsys, "matrix", "--alpha", "2", "--beta", "2",
                     "--k0", "1", "--k1", "1", "--k2", "1", "--e", "2", "--zero")
@@ -544,6 +592,21 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert out_path.read_text() == "36\n84\n"
 
 
+def test_formula_disagreement_is_internal_inconsistency(capsys, monkeypatch):
+    # N1's power of two one too high: the product formula no longer agrees with the closed form
+    rows = counting._product_rows
+
+    def skewed(profile):
+        (sign, k, s, m), *rest = rows(profile)
+        return ((sign, k, s + 1, m), *rest)
+
+    monkeypatch.setattr(counting, "_product_rows", skewed)
+    assert main(["count", "--alpha", "2", "--beta", "2",
+                 "--k0", "1", "--k1", "1", "--k2", "1", "--k3", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal inconsistency: formula disagreement") and "Traceback" not in err
+
+
 def test_out_unwritable_is_usage_error(capsys, tmp_path):
     code = main(["sequence", "t2", "--out", str(tmp_path / "missing" / "seq.txt")])
     assert code == 2
@@ -556,7 +619,18 @@ def test_out_unwritable_is_usage_error(capsys, tmp_path):
     (["check-identities", "--max-alpha", "0"], "bounds must be >= 1"),
     (["count", "--alpha", "1", "--beta", "1", "--k0", "2", "--k1", "0", "--k2", "0", "--k3", "0",
       "--dual"], "invalid type profile (1,1;2,0,0,0): needs k0 <= alpha and k1+k2+k3 <= beta"),
-], ids=["matrix", "check-identities", "count-dual"])
+    (["count", "--alpha", "1", "--beta", "-1", "--k0", "0", "--k1", "0", "--k2", "0", "--k3", "0"],
+     "beta must be a non-negative integer, got -1"),
+    (["verify", "--alpha", "-1", "--beta", "1"], "dimensions must be non-negative, got (-1, 1)"),
+    (["check-identities", "--max-alpha", "-1"], "bounds must be >= 1, got (-1, 4)"),
+    (["matrix", "--alpha", "2", "--beta", "2", "--k0", "1", "--k1", "-1", "--k2", "1"],
+     "negative dimensions in (2,2;1,-1,1,0)"),
+    (["matrix", "--alpha", "2", "--beta", "2", "--k0", "1", "--k1", "1", "--k2", "1", "--seed", "-1"],
+     "seed must be non-negative, got -1"),
+    (["census-export", "--alpha", "1", "--beta", "-1"], "dimensions must be non-negative, got (1, -1)"),
+], ids=["matrix", "check-identities", "count-dual", "count-negative", "verify-negative",
+        "check-identities-negative", "matrix-negative", "matrix-negative-seed",
+        "census-export-negative"])
 def test_library_refusal_is_bad_input(capsys, argv, message):
     # the library's ValueError reaches main as it was raised: exit 2, its own message
     assert main(argv) == 2

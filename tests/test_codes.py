@@ -186,6 +186,14 @@ def test_random_standard_form_rejects_invalid_profile():
         random_standard_form_z4(1, 1, 0, 1, 1, seed=0)
 
 
+def test_random_standard_form_refuses_a_negative_seed():
+    # random.Random(-s) draws the blocks of random.Random(s)
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -5$"):
+        random_standard_form(TypeProfile(2, 3, 1, 1, 1, 0), -5)
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        random_standard_form_z4(2, 2, 1, 1, 1, seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # spans and classification
 # ---------------------------------------------------------------------------
@@ -194,6 +202,18 @@ def test_span_empty_is_zero_code():
     c = span([], alpha=2, beta=1, e=3)
     assert len(c) == 1
     assert W([0, 0], [0]) in c
+
+
+def test_span_of_nothing_needs_its_ambient():
+    with pytest.raises(ValueError, match="^empty generator list needs explicit alpha, beta, e$"):
+        span([])
+    with pytest.raises(ValueError, match=r"^dimensions must be non-negative, got \(-1, 1\)$"):
+        span([], alpha=-1, beta=1, e=3)
+
+
+def test_code_refuses_a_word_from_another_ambient():
+    with pytest.raises(ValueError, match=r"does not live in \(2,1,e=3\)"):
+        Code([W([0, 0], [0]), MixedWord((1,), (1,), 3)], 2, 1, 3)
 
 
 def test_span_refuses_dimensions_that_contradict_its_generators():

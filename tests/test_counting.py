@@ -294,6 +294,11 @@ def test_each_binomial_counts_toward_the_guard(profile, monkeypatch):
             counter(TypeProfile(*profile))
 
 
+def test_count_z8_refuses_an_empty_ambient():
+    with pytest.raises(ValueError, match="^n must be positive, got 0$"):
+        count_z8(0, 0, 0, 0)
+
+
 def test_count_z8_is_guarded_on_its_quotient(monkeypatch):
     # (1, 2 * 10^7; 1, 0, 0, 1) over 2^(2 * 10^7 - 1) leaves 2^0 [2 * 10^7; 1]_2
     monkeypatch.setattr(counting, "_phi2", unguarded_phi2)

@@ -222,7 +222,7 @@ def test_standard_form_matrix_validation_messages():
     cases = [
         ((2, 2, 4, (1, 1, 1, 0), blocks), "ring exponent must be 2 or 3, got 4"),
         ((2, 2, 3, (1, 1), blocks), "e=3 standard form needs 4 generator counts, got (1, 1)"),
-        ((2, 2, 3, (1, -1, 1, 0), blocks), "negative dimensions in (2,2;(1, -1, 1, 0))"),
+        ((2, 2, 3, (1, -1, 1, 0), blocks), "negative dimensions in (2,2;1,-1,1,0)"),
         ((2, 2, 3, (3, 1, 1, 0), blocks), "profile (2,2;3,1,1,0) is not realizable"),
         ((2, 2, 3, (1, 1, 1, 0), {**blocks, "X": ()}),
          "expected blocks ['A01', 'A02', 'A03', 'A12', 'A13', 'A23', 'Abar01', 'S1', 'S2', "
