@@ -99,8 +99,8 @@ def _children(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[i
     coordinate every s_t gains one, and z stays 0.
 
     The sizes of a child depend on its coset only through c, the j for each
-    t < e, and the lookup at b = c; `grown` keeps them by K's sizes and these,
-    for the walk of one coordinate.
+    t < e, and the lookup at b = c, and not on i; `grown` keeps them by K's
+    sizes and these, one table for the whole walk.
     """
     axis = ambient.axes[i]  # axis[d] = d e_i
     if i < ambient.alpha:
@@ -111,32 +111,30 @@ def _children(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[i
             yield sub, v | axis[1], doubled, 1, reps
         return
     mask, e = ambient.mask, ambient.e  # top = e on a Z_{2^e} coordinate
-    # built once per K: 2^t K for t < e, a half in K of each word of 2K, and
+    # built once per K: a half in K of each word of 2K, 2^t K for t < e, and
     # the binary parts of K[2]
-    multiples = [sub]
-    for _ in range(1, e):
-        multiples.append({(w + w) & mask for w in multiples[-1]})
     halves = {(w + w) & mask: w for w in sub}
+    multiples = [sub, halves.keys()]
+    for _ in range(2, e):
+        multiples.append({(w + w) & mask for w in multiples[-1]})
     bin_mask = ambient.bin_mask
     binary_2 = {w & bin_mask for w in sub if not (w + w) & mask}
     *s, z = sizes
     shapes = grown.setdefault(sizes, {})
     cosets: list[list[tuple[int, list]]] = [[] for _ in range(e + 1)]  # (v, sizes by b), by c
     for v in reps:
-        powers = [v]  # powers[j] = 2^j v, and 2^e v = 0 lies in every 2^t K
-        for _ in range(e):
-            powers.append((powers[-1] + powers[-1]) & mask)
-        c = 0
-        while powers[c] not in sub:
-            c += 1
-        least = []
+        # one chain w = 2^j v: 2^e v = 0 lies in every 2^t K, and 2^t K lies
+        # in 2^(t-1) K, so j never decreases and v is doubled at most e times
+        half, w, c = v, v, 0
+        while w not in sub:
+            half, w, c = w, (w + w) & mask, c + 1
+        h = halves.get(w)
+        doubles = c > 0 and h is not None and (h + half) & bin_mask in binary_2
+        j, least = c, []
         for t in range(1, e):
-            j = c  # 2^t K lies in K, so j >= c
-            while powers[j] not in multiples[t]:
-                j += 1
+            while w not in multiples[t]:
+                w, j = (w + w) & mask, j + 1
             least.append(j)
-        h = halves.get(powers[c])
-        doubles = c > 0 and h is not None and (h + powers[c - 1]) & bin_mask in binary_2
         key = (c, *least, doubles)
         by_b = shapes.get(key)
         if by_b is None:
@@ -152,12 +150,12 @@ def _children(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[i
             yield sub, v | image, by_b[b], b, reps
 
 
-def _extend(ambient: codes._Ambient, i: int, level: Iterable[_Item]) -> Iterator[_Item]:
+def _extend(ambient: codes._Ambient, i: int, level: Iterable[_Item], grown: dict) -> Iterator[_Item]:
     """The step of `_walk`: the subgroups of P x Z_m from those of P, each
-    one and then its children (see `_children`).  A subgroup of P is built,
-    and its coset words carried from its part's (see `_carry`, run once per
-    part), only here, where coordinate i needs them."""
-    grown: dict = {}
+    one and then its children (see `_children`, with the walk's `grown`).
+    A subgroup of P is built, and its coset words carried from its part's
+    (see `_carry`, run once per part), only here, where coordinate i needs
+    them."""
     part = None
     for sub, x, sizes, b, reps in level:
         if i:  # the root, on no coordinate, comes with its coset words
@@ -179,10 +177,12 @@ def _walk(ambient: codes._Ambient) -> Iterator[_Item]:
     torsion sizes.  The reader builds the subgroup if it needs it; on n >= 1
     coordinates its coset words are `_carry(ambient, n - 1, reps)[b]`.  The
     levels are chained generators, so a walk holds one subgroup per
-    coordinate and no list of them."""
+    coordinate and no list of them; one `grown` table of child sizes serves
+    every coordinate (see `_children`)."""
     level: Iterable[_Item] = [(frozenset([0]), 0, (0,) * (ambient.e + 1), 0, [0])]
+    grown: dict = {}
     for i in range(len(ambient.moduli)):
-        level = _extend(ambient, i, level)
+        level = _extend(ambient, i, level, grown)
     return iter(level)
 
 

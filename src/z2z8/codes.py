@@ -663,7 +663,11 @@ def parse_words(text: str) -> tuple[int, int, int, list[MixedWord]]:
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ValueError("empty matrix text")
-    alpha, beta, e = (int(x) for x in lines[0].split())
+    try:
+        alpha, beta, e = map(int, lines[0].split())
+    except ValueError:
+        raise ValueError(f"header {lines[0]!r} is not three integers alpha beta e") from None
+    _Ambient(alpha, beta, e)  # refuses a ring exponent or dimensions no ambient has
     rows = []
     for ln in lines[1:]:
         left, _, right = ln.partition("|")

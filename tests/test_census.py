@@ -270,7 +270,9 @@ def test_census_matches_per_subgroup_classification(alpha, beta, e):
     assert c.total_subgroups == sum(expected.values())
 
 
-@pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
+# with a third Z8 coordinate, whose children read the walk's one table of
+# child sizes for sizes first tabled on the coordinates before it
+@pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS + [(0, 3, 3), (1, 3, 3)])
 def test_carried_sizes_match_counted_signatures(alpha, beta, e):
     # subgroup by subgroup, in walk order: the sizes `_walk` carries
     # against the words of the full walk's subgroups, counted by the

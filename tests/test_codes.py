@@ -544,6 +544,13 @@ def test_parse_rejects_bad_rows():
         parse_words("1 1 3\n1 | 0 0\n")
     with pytest.raises(ValueError):
         parse_words("")
+    with pytest.raises(ValueError, match=r"ring exponent must be 2 or 3, got 5"):
+        parse_words("1 1 5\n")
+    with pytest.raises(ValueError, match=r"dimensions must be non-negative, got \(-1, 2\)"):
+        parse_words("-1 2 3\n")
+    for header in ("1 1", "1 1 3 0"):
+        with pytest.raises(ValueError, match="is not three integers alpha beta e"):
+            parse_words(header + "\n")
 
 
 def test_parse_skips_comments_and_blanks():
