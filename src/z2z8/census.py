@@ -11,20 +11,16 @@ behind echelon and Howell forms over Z_{2^e}.  A subgroup M of P x Z_m, P the
 group on the coordinates already added, is fixed by its part K in P, the
 image of its new coordinate and one coset of K in P (see `_children`), so
 every subgroup comes exactly once, with no seen-set.  `_walk` yields each
-subgroup as K and a word x to adjoin, with its torsion sizes and K's coset
-words, the first word of each of K's cosets in P: a further coordinate builds
-M and carries M's coset words, which are K's with each new coordinate value
-below the index of M's image (see `_carry`), so the cosets come one step
-each and no group of words is ever scanned.  The last coordinate's
-subgroups are yielded unbuilt and uncarried: `census` tallies their sizes
-and `enumerate_subgroups` builds them.  The sizes follow from K's and a few
-lookups in tables built once per K, so no word of M is counted.  The levels
-are chained generators, so a walk holds one subgroup per coordinate.  It
-runs on the packed words of `codes`, placing values in a coordinate by the
-words of `_Ambient.axes`, and no subgroup is decoded.
-`codes._torsion_sizes` is the word-counting reference for the carried
-sizes; the tests keep the other references, the older walk by index-2
-covers and a scan of P for the cosets of K.
+subgroup as K and a word x to adjoin, with its torsion sizes and the bounds
+of the box of its coset words (see `_box`); a further coordinate builds M
+and reads that box, each distinct one built once per walk, so no group of
+words is ever scanned.  The last coordinate's subgroups are yielded
+unbuilt: `census` tallies their sizes and `enumerate_subgroups` builds them.
+The sizes follow from K's and a few lookups in tables built once per K, so
+no word of M is counted.  It runs on the packed words of `codes`, and no
+subgroup is decoded.  `codes._torsion_sizes` is the word-counting reference
+for the carried sizes; the tests keep the other references, the older walk
+by index-2 covers and a scan of P for the cosets of K.
 """
 
 from __future__ import annotations
@@ -50,42 +46,45 @@ __all__ = [
     "census_to_json",
 ]
 
-# an item of `_walk`: (K, x, torsion sizes, b, K's coset words)
-_Item = tuple[frozenset[int], int, tuple[int, ...], int, list[int]]
+# an item of `_walk`: (K, x, torsion sizes, bounds of the subgroup's coset box)
+_Item = tuple[frozenset[int], int, tuple[int, ...], tuple[int, ...]]
 
 
-def _carry(ambient: codes._Ambient, i: int, reps: list[int]) -> list[list[int]]:
-    """The coset words in P x Z_m of the subgroups M of P x Z_m whose part K
-    in P has the coset words `reps`, by the order 2^b of M's image in
-    coordinate i: entry b holds u + d e_i for u in `reps` and 0 <= d < m / 2^b.
+def _box(ambient: codes._Ambient, bounds: tuple[int, ...], boxes: dict) -> list[int]:
+    """The box of `bounds` = (r_0, ..., r_i), the words sum d_j e_j with d_j < r_j,
+    last coordinate outermost, built once per walk in `boxes` from `bounds[:-1]`'s.
 
-    Entry 0 is K itself.  Two words u + d e_i and u' + d' e_i with
-    d, d' < 2^a = m / 2^b lie in one coset of M only if d = d' (M's image is
-    2^a Z_m) and then u - u' lies in M's part K, so u = u'; and there are
-    |P x Z_m| / |M| = 2^a |P| / |K| of them.  With d outer and u inner, the
-    words come in the order of the group on coordinates 0..i, each the first
-    of its coset in that order, as a scan of that group finds them.
+    These are the coset words of a walk item, r_j = m_j >> b_j for its image
+    order 2^b_j in coordinate j, by induction on i: let M in P x Z_m have
+    part K in P, whose coset words are the box u of `bounds[:-1]`, and image
+    2^a Z_m, 2^a = r_i.  Two words u + d e_i and u' + d' e_i with d, d' < 2^a
+    lie in one coset of M only if d = d' and then u - u' lies in K, so
+    u = u'; and there are |P x Z_m| / |M| = 2^a |P| / |K| of them.  With d
+    outer and u inner, each is the first of its coset in the order of the
+    group on coordinates 0..i, as a scan of that group finds them.
     """
-    m = ambient.moduli[i]
-    words = [u | y for y in ambient.axes[i] for u in reps]
-    return [words] + [words[: len(words) >> b] for b in range(1, m.bit_length())]
+    box = boxes.get(bounds)
+    if box is None:
+        axis = ambient.axes[len(bounds) - 1][: bounds[-1]]
+        box = boxes[bounds] = [u | y for y in axis for u in _box(ambient, bounds[:-1], boxes)]
+    return box
 
 
 def _children(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[int],
-              sizes: tuple[int, ...], grown: dict) -> Iterator[_Item]:
+              sizes: tuple[int, ...], bounds: tuple[int, ...], grown: dict) -> Iterator[_Item]:
     """The subgroups of P x Z_m whose part in P is `sub`, other than `sub`
-    itself, as items of `_walk` (sub, x, torsion sizes, b, reps): the
-    subgroup is `sub` + <x>, and its image in coordinate i has order 2^b.
+    itself, as items of `_walk`: `sub` + <x>, with image order 2^b in
+    coordinate i and bounds `bounds` + (m >> b,), one tuple per b.
 
     P is the group on the coordinates below i, Z_m with m = 2^top is
-    coordinate i, and `reps` holds the coset words of `sub` in P; the moduli
-    never decrease along the coordinates, so the order of a word of P
-    divides m.  A subgroup M of P x Z_m is fixed by its part K in P
-    (`sub`), by its image 2^a Z_m in coordinate i, and by the coset v + K of
-    the lifts of 2^a: the words v of P with x = v + 2^a e_i in M.  Such a v needs 2^b v in
-    K, b = top - a, that is, the order 2^c of v modulo K has c <= b.
-    Conversely each such triple gives M = K | K + x | K + 2x | ..., so every
-    subgroup comes once.
+    coordinate i, and `reps` is `sub`'s box in P, its coset words (see
+    `_box`); the moduli never decrease along the coordinates, so the order
+    of a word of P divides m.  A subgroup M of P x Z_m is fixed by its part
+    K in P (`sub`), by its image 2^a Z_m in coordinate i, and by the coset
+    v + K of the lifts of 2^a: the words v of P with x = v + 2^a e_i in M.
+    Such a v needs 2^b v in K, b = top - a, that is, the order 2^c of v
+    modulo K has c <= b.  Conversely each such triple gives
+    M = K | K + x | K + 2x | ..., so every subgroup comes once.
 
     The sizes are (s_1, ..., s_e, z): M has 2^s_t words killed by 2^t and 2^z
     words of order <= 2 with zero binary part; K's are `sizes`.  M / K is
@@ -106,9 +105,9 @@ def _children(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[i
     if i < ambient.alpha:
         # P is binary, so every word has order <= 2 modulo K: the lifts of
         # 1 are all the coset words, in their order
-        doubled = (*(s + 1 for s in sizes[:-1]), sizes[-1])
+        doubled, box = (*(s + 1 for s in sizes[:-1]), sizes[-1]), bounds + (1,)
         for v in reps:
-            yield sub, v | axis[1], doubled, 1, reps
+            yield sub, v | axis[1], doubled, box
         return
     mask, e = ambient.mask, ambient.e  # top = e on a Z_{2^e} coordinate
     # built once per K: a half in K of each word of 2K, 2^t K for t < e, and
@@ -145,44 +144,44 @@ def _children(ambient: codes._Ambient, i: int, sub: frozenset[int], reps: list[i
             ]
         cosets[c].append((v, by_b))
     for b in range(1, e + 1):
-        image = axis[1 << (e - b)]  # 2^a e_i, with a = e - b
+        r = 1 << (e - b)  # m >> b = 2^a
+        image, box = axis[r], bounds + (r,)
         for v, by_b in chain.from_iterable(cosets[: b + 1]):
-            yield sub, v | image, by_b[b], b, reps
+            yield sub, v | image, by_b[b], box
 
 
-def _extend(ambient: codes._Ambient, i: int, level: Iterable[_Item], grown: dict) -> Iterator[_Item]:
+def _extend(ambient: codes._Ambient, i: int, level: Iterable[_Item], grown: dict,
+            boxes: dict) -> Iterator[_Item]:
     """The step of `_walk`: the subgroups of P x Z_m from those of P, each
-    one and then its children (see `_children`, with the walk's `grown`).
-    A subgroup of P is built, and its coset words carried from its part's
-    (see `_carry`, run once per part), only here, where coordinate i needs
-    them."""
-    part = None
-    for sub, x, sizes, b, reps in level:
-        if i:  # the root, on no coordinate, comes with its coset words
-            if sub is not part:  # the siblings of one part come together
-                part, carried = sub, _carry(ambient, i - 1, reps)
-            reps = carried[b]
+    one, with bounds + (m,), then its children (see `_children`).  A
+    subgroup of P is built, and its box fetched from the walk's `boxes`,
+    only here, where coordinate i needs them; siblings share one bounds
+    tuple, so a run of them fetches its box once."""
+    m, last = ambient.moduli[i], None
+    for sub, x, sizes, bounds in level:
         if x:
             sub = ambient.adjoin(sub, x)
-        yield sub, 0, sizes, 0, reps
-        yield from _children(ambient, i, sub, reps, sizes, grown)
+        yield sub, 0, sizes, bounds + (m,)
+        if bounds is not last:
+            last, reps = bounds, _box(ambient, bounds, boxes)
+        yield from _children(ambient, i, sub, reps, sizes, bounds, grown)
 
 
 def _walk(ambient: codes._Ambient) -> Iterator[_Item]:
     """Every subgroup of the ambient, grown from the zero subgroup by
-    `_extend` one coordinate at a time, as items (K, x, sizes, b, reps): the
-    subgroup is K when x == 0 (and b == 0), else K + <x>, whose image in the
-    last coordinate has order 2^b; K lies on the coordinates before the
-    last, `reps` are its coset words there, and `sizes` are the subgroup's
-    torsion sizes.  The reader builds the subgroup if it needs it; on n >= 1
-    coordinates its coset words are `_carry(ambient, n - 1, reps)[b]`.  The
-    levels are chained generators, so a walk holds one subgroup per
-    coordinate and no list of them; one `grown` table of child sizes serves
-    every coordinate (see `_children`)."""
-    level: Iterable[_Item] = [(frozenset([0]), 0, (0,) * (ambient.e + 1), 0, [0])]
+    `_extend` one coordinate at a time, as items (K, x, sizes, bounds): the
+    subgroup is K when x == 0, else K + <x>, with K on the coordinates
+    before the last, torsion sizes `sizes` and coset words the box of
+    `bounds` (see `_box`), so its index is the product of `bounds`.  The
+    reader builds the subgroup if it needs it.  The levels are chained
+    generators, so a walk holds one subgroup and its bounds per coordinate;
+    one `grown` table of child sizes and one `boxes` table serve every
+    coordinate."""
+    level: Iterable[_Item] = [(frozenset([0]), 0, (0,) * (ambient.e + 1), ())]
     grown: dict = {}
+    boxes = {(): [0]}
     for i in range(len(ambient.moduli)):
-        level = _extend(ambient, i, level, grown)
+        level = _extend(ambient, i, level, grown, boxes)
     return iter(level)
 
 

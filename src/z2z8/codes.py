@@ -669,11 +669,23 @@ def parse_words(text: str) -> tuple[int, int, int, list[MixedWord]]:
         raise ValueError(f"header {lines[0]!r} is not three integers alpha beta e") from None
     _Ambient(alpha, beta, e)  # refuses a ring exponent or dimensions no ambient has
     rows = []
-    for ln in lines[1:]:
-        left, _, right = ln.partition("|")
-        bin_part = tuple(int(x) for x in left.split())
-        mod_part = tuple(int(x) for x in right.split())
-        if len(bin_part) != alpha or len(mod_part) != beta:
-            raise ValueError(f"row {ln!r} does not match header ({alpha},{beta})")
-        rows.append(MixedWord(bin_part, mod_part, e))
+    for n, ln in enumerate(lines[1:], 1):
+        try:  # every refusal of a row names the row and its text
+            left, _, right = ln.partition("|")
+            if "|" in right:
+                raise ValueError("a second '|'")
+            bin_part, mod_part = ([_entry(x) for x in half.split()] for half in (left, right))
+            if len(bin_part) != alpha or len(mod_part) != beta:
+                raise ValueError(f"does not match header ({alpha},{beta})")
+            rows.append(MixedWord(bin_part, mod_part, e))
+        except ValueError as exc:
+            raise ValueError(f"row {n} {ln!r}: {exc}") from None
     return alpha, beta, e, rows
+
+
+def _entry(text: str) -> int:
+    """One entry of a `parse_words` row, refused unless it is an integer."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"entry {text!r} is not an integer") from None

@@ -4,8 +4,8 @@ faster path in `z2z8`.
 * `subgroup_sets_by_covers` walks the subgroup lattice by index-2 covers,
   the reference for the coordinate walk of `z2z8.census`.
 * `coset_scan` finds the first word of each coset of a subgroup by a scan of
-  the whole prefix group, the reference for the coset words that walk
-  carries.
+  the whole prefix group, the reference for the boxes of coset words that
+  walk reads.
 * `paper_product_factors` multiplies out the product formula N1..N4 /
   D1..D4 term by term, as the paper writes it, the reference for the rows
   of `z2z8.counting._product_rows`.
@@ -17,7 +17,7 @@ from z2z8.codes import _Ambient
 
 
 def coset_scan(ambient: _Ambient, i: int, sub: frozenset[int]) -> list[int]:
-    """Test reference for the carried coset words: the first word of each
+    """Test reference for the walk's boxes of coset words: the first word of each
     coset of `sub` in P, in P's order, found by a scan of the whole of P,
     which the walk never builds.
 

@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+import math
 import time
 import tracemalloc
 from collections import Counter
@@ -11,7 +12,7 @@ import pytest
 
 from reference import coset_scan, subgroup_sets_by_covers
 from z2z8.census import (
-    _carry,
+    _box,
     _walk,
     census,
     census_to_json,
@@ -85,20 +86,20 @@ def test_coordinate_walk_matches_cover_walk(alpha, beta, e):
     assert [c._packed for c in subs] == subgroup_sets_by_covers(_Ambient(alpha, beta, e))
 
 
-@pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS)
+@pytest.mark.parametrize("alpha,beta,e", COVER_WALK_AMBIENTS + [(0, 3, 3)])
 def test_carried_coset_words_are_the_coset_scans(alpha, beta, e):
-    # every subgroup K of the ambient, in walk order, with the coset words
-    # the walk carried for it, against the scan of the ambient: the same
-    # words in the same order, so the same lifts once grouped by their
-    # order modulo K, as a further coordinate would see them
+    # every subgroup of the ambient, in walk order, with the box its bounds
+    # fix, against the scan of the ambient: the same words in the same
+    # order, so the same lifts once grouped by their order modulo the
+    # subgroup, as a further coordinate would see them
     ambient = _Ambient(alpha, beta, e)
     n = len(ambient.moduli)
     walked = 0
-    for sub, x, _, b, reps in _walk(ambient):
-        if n:  # the last coordinate's subgroups come unbuilt, with their part's words
-            sub, reps = ambient.adjoin(sub, x) if x else sub, _carry(ambient, n - 1, reps)[b]
-        assert reps[0] == 0 and len(reps) == 2 ** ambient.bits // len(sub)
-        assert reps == coset_scan(ambient, n, sub)
+    for sub, x, _, bounds in _walk(ambient):
+        sub = ambient.adjoin(sub, x) if x else sub
+        words = _box(ambient, bounds, {(): [0]})
+        assert len(bounds) == n and len(words) == math.prod(bounds) == 2 ** ambient.bits // len(sub)
+        assert words == coset_scan(ambient, n, sub)
         walked += 1
     assert walked == census(alpha, beta, e).total_subgroups
 
@@ -106,32 +107,38 @@ def test_carried_coset_words_are_the_coset_scans(alpha, beta, e):
 def test_walk_holds_one_subgroup_per_coordinate(monkeypatch):
     # the levels are chained generators: the first item of a 2^120-word
     # ambient, the zero subgroup, comes through all 40 of them at once,
-    # with no subgroup built and one carry per level after the first.  The
-    # carry is stubbed: the zero subgroup's coset words on the first 39
-    # coordinates are that whole group, 2^117 words
+    # with no subgroup built and no box, whose first would be the zero
+    # subgroup's coset words on the first 39 coordinates, 2^117 words
     module = importlib.import_module("z2z8.census")
-    carried = []
 
     def refuse(*args):
-        raise AssertionError("the walk built a subgroup")
-
-    def stub(ambient, i, reps):
-        carried.append(i)
-        return [reps] * ambient.moduli[i].bit_length()
+        raise AssertionError("the walk built a subgroup or a box")
 
     monkeypatch.setattr(_Ambient, "adjoin", refuse)
-    monkeypatch.setattr(module, "_carry", stub)
+    monkeypatch.setattr(module, "_box", refuse)
     start = time.perf_counter()
-    sub, x, sizes, b, reps = next(_walk(_Ambient(0, 40, 3)))
+    item = next(_walk(_Ambient(0, 40, 3)))
     assert time.perf_counter() - start < 1.0
-    assert (sub, x, sizes, b, reps) == (frozenset([0]), 0, (0, 0, 0, 0), 0, [0])
-    assert carried == list(range(39))
+    assert item == (frozenset([0]), 0, (0, 0, 0, 0), (8,) * 40)
+
+
+def test_first_item_holds_no_prefix_group():
+    # the walk's memory grows with the subgroups it holds, not with the
+    # prefix group: the zero subgroup's coset words on the first 6
+    # coordinates of (0,7,3) are 262,144 words, about 13 MiB as a list
+    tracemalloc.start()
+    try:
+        next(_walk(_Ambient(0, 7, 3)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_walk_builds_no_prefix_group(monkeypatch):
-    # the walk carries its coset words: neither the ambient's words nor the
-    # scan of a prefix group is ever needed (any such scan, `coset_scan`'s
-    # among them, lists the group by `_Ambient.elements`)
+    # the walk reads its coset words off boxes: neither the ambient's words
+    # nor the scan of a prefix group is ever needed (any such scan,
+    # `coset_scan`'s among them, lists the group by `_Ambient.elements`)
     def refuse(*args):
         raise AssertionError("the walk built a group of words")
 
@@ -141,24 +148,23 @@ def test_walk_builds_no_prefix_group(monkeypatch):
 
 
 def test_no_coset_words_for_the_last_coordinate(monkeypatch):
-    # the census and the enumeration carry coset words once per subgroup of
-    # the prefixes on the first n - 1 coordinates, (0,0), (1,0), (2,0) and
-    # (3,0) for (3,2,3): 1 + 2 + 5 + 16, and never for the last
+    # the census and the enumeration build each distinct box once, and only
+    # on the first n - 1 = 4 coordinates of (3,2,3): never one for the last
     # coordinate's subgroups
     module = importlib.import_module("z2z8.census")
-    carry, calls = module._carry, 0
+    box, built = module._box, []
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return carry(*args)
+    def recorded(ambient, bounds, boxes):
+        if bounds not in boxes:
+            built.append(bounds)
+        return box(ambient, bounds, boxes)
 
-    monkeypatch.setattr(module, "_carry", counted)
-    census(3, 2, 3)
-    assert calls == 24
-    calls = 0
-    enumerate_subgroups(3, 2, 3)
-    assert calls == 24
+    monkeypatch.setattr(module, "_box", recorded)
+    for run in (census, enumerate_subgroups):
+        built.clear()
+        run(3, 2, 3)
+        assert built and max(map(len, built)) <= 4
+        assert len(built) == len(set(built))
 
 
 def test_guard_rejects_large_ambient():

@@ -540,8 +540,15 @@ def test_code_format_round_trip():
 
 
 def test_parse_rejects_bad_rows():
-    with pytest.raises(ValueError):
-        parse_words("1 1 3\n1 | 0 0\n")
+    # each refusal of a row names the row and its text
+    with pytest.raises(ValueError, match=r"^row 2 '1 \| 0 0': does not match header \(1,1\)$"):
+        parse_words("1 1 3\n1 | 4\n1 | 0 0\n")
+    with pytest.raises(ValueError, match=r"^row 1 '1 \| x': entry 'x' is not an integer$"):
+        parse_words("1 1 3\n1 | x\n")
+    with pytest.raises(ValueError, match=r"^row 1 '1 \| 4 \| 5': a second '\|'$"):
+        parse_words("1 1 3\n1 | 4 | 5\n")
+    with pytest.raises(ValueError, match=r"^row 1 '1 \| 9': modular entries must lie in \[0,8\), got \(9,\)$"):
+        parse_words("1 1 3\n1 | 9\n")
     with pytest.raises(ValueError):
         parse_words("")
     with pytest.raises(ValueError, match=r"ring exponent must be 2 or 3, got 5"):
