@@ -40,8 +40,9 @@ FAMILIES: dict[str, tuple[tuple[tuple[int, int], ...], int]] = {
 
 MAX_SEQUENCE_SPAN = 10**4  # the range's shape: each term costs a `count` call
 
-# a*r, then b; a sign must part the r term from b, so 'r1' and '2r3' are rejected
-_AFFINE_PATTERN = r"(?:(\d*)\*?r(?=[+-]|$))?([+-]?\d+)?"
+# a*r, then b; a '*' needs digits before it and a sign must part the r term
+# from b, so '*r', 'r1' and '2r3' are rejected
+_AFFINE_PATTERN = r"(?:(\d*)(?:(?<=\d)\*)?r(?=[+-]|$))?([+-]?\d+)?"
 
 
 class UsageError(ValueError):

@@ -10,17 +10,19 @@ product formula is 2^i (2^j - 1), so `count` factors it, with no big
 integer, into a power of two and eight runs; it insists that these are the
 closed form's, factor by factor, run by run, and then multiplies the
 integer out once from the Phi_d(2), the values at 2 of the cyclotomic
-polynomials, that divide each binomial.  `count_product` evaluates the
-same eight rows, `_product_rows`, in integers and stays the reference
-that the tests compare against, with the q-kernel in `qnum`.
+polynomials, that divide each binomial, each read off 2^d - 1 =
+prod_{m | d} Phi_m(2).  `count_product` evaluates the same eight rows,
+`_product_rows`, in integers and stays the reference that the tests
+compare against, with the q-kernel in `qnum`.
 
 Specializations cover linear codes over Z8, additive codes over Z2 x Z4,
 and the classical 2-binomial coefficients, plus the duality arithmetic
-relating a type to the type of its dual code.  One private helper holds each
-rule on a type (alpha, beta, ks), ks = (k0, k_1..k_e), for both rings:
-`_valid_ks` lists the realizable ks, `_z8_slots` embeds a type in the Z8
-slots the formulas count, `_dual_ks` is the dual's slot rule and `_type_str`
-prints it.  The identity sweeps (`check_identities` and its records) live in
+relating a type to the type of its dual code, whose power of two delta_bar
+is delta of the dual type.  One private helper holds each rule on a type
+(alpha, beta, ks), ks = (k0, k_1..k_e), for both rings: `_valid_ks` lists
+the realizable ks, `_z8_slots` embeds a type in the Z8 slots the formulas
+count, `_dual_ks` is the dual's slot rule and `_type_str` prints it.  The
+identity sweeps (`check_identities` and its records) live in
 `z2z8.identities`, which loads on first use; they stay importable from here.
 """
 
@@ -231,18 +233,17 @@ def _product_factors(profile: TypeProfile) -> tuple[int, ...]:
 
 
 def delta_exponents(profile: TypeProfile) -> DeltaExponents:
-    """The exponents delta and delta_bar of the closed forms (valid profiles)."""
+    """The powers of 2 of the closed forms (valid profiles): delta_bar is delta of the dual type."""
     _require_valid(profile)
-    return DeltaExponents(*_deltas(profile))
+    alpha, beta = profile.alpha, profile.beta
+    return DeltaExponents(_delta(profile), _delta((alpha, beta, *_dual_ks(alpha, beta, profile.ks))))
 
 
-def _deltas(profile: TypeProfile) -> tuple[int, int]:
-    """(delta, delta_bar), without the validity check."""
-    a, b, k0, k1, k2, k3 = profile
+def _delta(slots: tuple[int, ...]) -> int:
+    """delta of the type (alpha, beta, k0, k1, k2, k3), without the validity check."""
+    a, b, k0, k1, k2, k3 = slots
     r = b - k1 - k2 - k3
-    delta = k0 * r + k1 * (a - k0 + 2 * r + k3) + k2 * (r + (a - k0))
-    delta_bar = k1 * (a - k0) + r * (k0 + 2 * k1 + k2) + k3 * (k1 + k0)
-    return delta, delta_bar
+    return k0 * r + k1 * (a - k0 + 2 * r + k3) + k2 * (r + (a - k0))
 
 
 def count_closed_form(profile: TypeProfile) -> int:
@@ -297,14 +298,14 @@ def _agreed_form(profile: TypeProfile) -> tuple[int, list[tuple[int, int]]]:
 # each the product of (2^j - 1)^sign over lo < j <= hi, in the order
 # N1..N4, D1..D4 of `_product_rows`.
 #
-# 2^j - 1 is the product of Phi_d(2) over the divisors d of j, so Phi_d(2)
-# divides [n; k]_2 exactly n//d - k//d - (n-k)//d times, which is 1 when
-# n % d < k % d and 0 otherwise.  `_evaluate` lists those Phi_d(2),
-# 2 <= d <= n, and skips [n; 0]_2 and [n; n]_2.  For 0 < k < n that takes
-# n - 1 <= k(n - k) steps, the degree of [n; k]_q, so its guard on the
-# count's bits, two + sum k(n - k), bounds the loop too.  The leaves are
-# multiplied pairwise, level by level, so that most products are of numbers
-# of about equal size.
+# 2^j - 1 is the product of Phi_d(2) over the divisors d of j: `_phi2`
+# reads each Phi_d(2) off it, and Phi_d(2) divides [n; k]_2 exactly
+# n//d - k//d - (n-k)//d times: 1 when n % d < k % d and 0 otherwise.
+# `_evaluate` lists those Phi_d(2), 2 <= d <= n, and skips [n; 0]_2 and
+# [n; n]_2.  For 0 < k < n that takes n - 1 <= k(n - k) steps, the degree
+# of [n; k]_q, so its guard on the count's bits, two + sum k(n - k), bounds
+# the loop too.  The leaves are multiplied pairwise, level by level, so that
+# most products are of numbers of about equal size.
 
 
 def _closed_form(profile: TypeProfile) -> tuple[int, list[tuple[int, int]]]:
@@ -312,7 +313,7 @@ def _closed_form(profile: TypeProfile) -> tuple[int, list[tuple[int, int]]]:
     (n, k)) (valid profiles): [beta; k1, k2, k3]_2 is the telescoping product
     [beta; k1]_2 [beta-k1; k2]_2 [beta-k1-k2; k3]_2."""
     alpha, beta, k0, k1, k2, k3 = profile
-    return _deltas(profile)[0], [(alpha, k0), (beta, k1), (beta - k1, k2), (beta - k1 - k2, k3)]
+    return _delta(profile), [(alpha, k0), (beta, k1), (beta - k1, k2), (beta - k1 - k2, k3)]
 
 
 def _product_form(profile: TypeProfile) -> tuple[int, list]:
@@ -327,26 +328,15 @@ def _product_form(profile: TypeProfile) -> tuple[int, list]:
 
 @functools.lru_cache(maxsize=4096)  # bounded: a long-lived process keeps at most this many values
 def _phi2(d: int) -> int:
-    """Phi_d(2), by Moebius inversion of 2^m - 1 over the divisors m of d."""
-    squarefree = [(1, 1)]  # (s, mu(s)) for the squarefree divisors s of d
-    n, p = d, 2
-    while n > 1:
-        if p * p > n:
-            p = n
-        if n % p == 0:
-            squarefree += [(s * p, -mu) for s, mu in squarefree]
-            while n % p == 0:
-                n //= p
-        p += 1
-    num = den = 1
-    for s, mu in squarefree:
-        if mu > 0:
-            num *= (1 << d // s) - 1
-        else:
-            den *= (1 << d // s) - 1
-    phi, rem = divmod(num, den)
+    """Phi_d(2) from 2^d - 1 = prod_{m | d} Phi_m(2): 2^d - 1 over the Phi_m(2) of the proper
+    divisors m of d, in pairs (m, d // m) with 2 <= m <= sqrt(d), as Phi_1(2) = 1."""
+    den = 1
+    for m in range(2, math.isqrt(d) + 1):
+        if d % m == 0:
+            den *= _phi2(m) if m * m == d else _phi2(m) * _phi2(d // m)
+    phi, rem = divmod((1 << d) - 1, den)
     if rem:
-        raise SelfCheckError(f"Moebius inversion for Phi_{d}(2) is not exact")
+        raise SelfCheckError(f"2^{d} - 1 is not divisible by the Phi_m(2) of the proper divisors of {d}")
     return phi
 
 
@@ -405,7 +395,8 @@ def dual_type(profile: TypeProfile) -> TypeProfile:
 
 def count_dual(profile: TypeProfile) -> int:
     """Number of codes of the dual type, count(dual_type(profile)), with its two formulas
-    cross-checked; its closed form is 2^delta_bar [alpha; alpha-k0]_2 [beta; beta-l, k3, k2]_2."""
+    cross-checked; its closed form, 2^delta_bar [alpha; alpha-k0]_2 [beta; beta-l, k3, k2]_2,
+    is the closed form of the dual type, so delta_bar is that type's delta."""
     return count(dual_type(profile))
 
 

@@ -344,7 +344,8 @@ def test_parse_affine():
     assert parse_affine("7") == (0, 7)
     from z2z8.cli import UsageError
 
-    for bad in ("x+1", "r1", "2r3"):  # a sign must part the r term from the constant
+    # a sign must part the r term from the constant, and a '*' needs a coefficient
+    for bad in ("x+1", "r1", "2r3", "*r"):
         with pytest.raises(UsageError):
             parse_affine(bad)
         assert main(["sequence", "--exprs", f"{bad},2,r,1,1,0"]) == 2

@@ -120,6 +120,15 @@ def test_cyclotomic_values_multiply_to_mersenne_numbers():
         assert product == 2**n - 1, n
 
 
+@pytest.mark.parametrize("n", [5040, 55440])
+def test_phi2_recursion_over_many_divisors_matches_the_q_kernel(n):
+    # 5040 and 55440 have 60 and 120 divisors: [n; 1]_2 and [n; n - 1]_2 are
+    # the product of Phi_d(2) over every divisor d >= 2 of n, each built from
+    # the Phi_m(2) of its own divisors, against the independent q-kernel
+    for k in (1, 2, n - 1):
+        assert binary_binomial_identity(n, k) == q_binomial(n, k, 2), k
+
+
 def test_factored_count_matches_the_integer_oracles():
     for p in valid_profiles(5, 5):
         assert count(p) == count_product(p).total == closed_form_reference(p), p
@@ -409,6 +418,15 @@ def test_delta_identity():
         d = delta_exponents(p)
         assert d.delta - d.delta_bar == p.alpha * p.k2 - p.k0 * (p.k2 + p.k3)
         assert d.delta >= 0
+
+
+def test_delta_bar_is_the_papers_dual_exponent():
+    # delta_bar is delta read at the dual type; the paper states it as
+    # k1(alpha - k0) + r(k0 + 2k1 + k2) + k3(k1 + k0), r = beta - l
+    for p in valid_profiles(8, 8):
+        r = p.beta - p.l
+        expected = p.k1 * (p.alpha - p.k0) + r * (p.k0 + 2 * p.k1 + p.k2) + p.k3 * (p.k1 + p.k0)
+        assert delta_exponents(p).delta_bar == expected, p
 
 
 def test_self_dual_family_needs_the_condition():
