@@ -604,7 +604,7 @@ def dual_bruteforce(code: Code) -> Code:
         low_bits += ambient.moduli[split].bit_length() - 1
         split += 1
     tables = (1 << low_bits) + (1 << (ambient.bits - low_bits))  # entries of the two half tables
-    check_work(3 * tables + (1 << ambient.bits) // len(code),
+    check_work(3 * tables + (1 << ambient.bits) // max(len(code), 1),
                "dual_bruteforce (objects held: a tuple of two ints per table entry, an int per dual word)")
     n, top = code.alpha + code.beta, 1 << code.e
     gens, covered = [], frozenset([0])  # a generating subset, found greedily

@@ -60,9 +60,9 @@ def check_identities(max_alpha: int, max_beta: int) -> IdentityReport:
 
     Every identity is evaluated exactly; a failing sweep records its first
     counterexample.  Two entries cover a misstated textbook relation: the
-    literal reading `lemma4-literal` is expected to fail (counterexample
-    (2,2;2,1,0,0): 48 vs 24) and `lemma4-corrected` carries the repaired
-    factor 2^((alpha-1)(beta-l)).
+    literal reading `lemma4-literal` is expected to fail once max_alpha >= 2
+    (counterexample (2,2;2,1,0,0): 48 vs 24; at a = 1 it holds trivially) and
+    `lemma4-corrected` carries the repaired factor 2^((alpha-1)(beta-l)).
 
     Each valid profile within the bounds is counted once, up front; the
     sweeps read those counts and count only the profiles outside the bounds.
@@ -84,17 +84,17 @@ def check_identities(max_alpha: int, max_beta: int) -> IdentityReport:
         value = table.get(slots)
         return count(TypeProfile(*slots)) if value is None else value
 
-    def sweep(key: str, statement: str, label: str, cases, expected: bool = True) -> None:
+    def sweep(key: str, statement: str, label: str, cases, expected: bool = True,
+              detail: str = "") -> None:
         """`cases` yields (lhs, rhs, args); the first with lhs != rhs is
-        reported, named `label.format(*args)`."""
-        failure = ""
+        reported, named `label.format(*args)`, in place of `detail`."""
         passed = True
         for lhs, rhs, args in cases:
             if lhs != rhs:
                 passed = False
-                failure = f"first counterexample {label.format(*args)}: {lhs} != {rhs}"
+                detail = f"first counterexample {label.format(*args)}: {lhs} != {rhs}"
                 break
-        entries.append(IdentityCheck(key, statement, passed, expected, failure))
+        entries.append(IdentityCheck(key, statement, passed, expected, detail))
 
     def cases_a():
         for r in range(1, A + 1):
@@ -188,7 +188,8 @@ def check_identities(max_alpha: int, max_beta: int) -> IdentityReport:
         "N(a,b;a,k1,k2,k3) = N(1,b;1,k1,k2,k3) for all a >= 1 (misstated; fails)",
         "{}",
         canonical + [(lhs, rhs, (p,)) for p, lhs, rhs in lemma4],
-        expected=False,
+        expected=A < 2,
+        detail="" if A >= 2 else "the bounds hold no a >= 2, where it fails",
     )
 
     sweep(

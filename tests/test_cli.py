@@ -431,19 +431,23 @@ def test_check_identities_json(capsys):
 
 
 def test_check_identities_output_bytes_unchanged(capsys):
-    # sha256 over stdout, plain then JSON, for every box 1..6 x 1..6, taken
-    # before the sweeps moved to z2z8.identities and stopped formatting
-    # every case's label; with --max-alpha 1, lemma4-literal finds no
-    # counterexample, unexpectedly passes, and the command exits 1
-    digest = hashlib.sha256()
+    # sha256 over stdout, plain then JSON, for the boxes 1 x 1..6, then for
+    # 2..6 x 1..6; the second taken before the sweeps moved to
+    # z2z8.identities and stopped formatting every case's label.  With
+    # --max-alpha 1 the box holds no a >= 2, so lemma4-literal is expected to
+    # pass there, its detail says why, and the command exits 0
+    digests = {1: hashlib.sha256(), 2: hashlib.sha256()}
     for a in range(1, 7):
         for b in range(1, 7):
             for fmt in ("plain", "json"):
                 code, out = run(capsys, "check-identities", "--max-alpha", str(a),
                                 "--max-beta", str(b), "--format", fmt)
-                assert code == (1 if a == 1 else 0)
-                digest.update(out.encode())
-    assert digest.hexdigest() == "cf5038023a2c4448b12b2edf3f4bd70a3d779c87d610e3d29cf2d70ce09808ce"
+                assert code == 0
+                digests[min(a, 2)].update(out.encode())
+    assert {a: d.hexdigest() for a, d in digests.items()} == {
+        1: "a0bb11364c32a3cfcd69485f15bb2e69998fd2867533049ae53cae184c225427",
+        2: "789e062907679ab34eb3af4ea68eef16408c123b85c9076ae511f2082f2f42c0",
+    }
 
 
 def test_check_identities_guard_refuses_a_large_box_at_once(capsys):
@@ -659,7 +663,16 @@ def test_module_invocation_round_trip():
      "--e", "2", "--parity", "--span"],
     ["matrix", "--alpha", "1", "--beta", "2", "--k0", "1", "--k1", "1", "--k2", "1", "--parity"],
     ["census-export", "--alpha", "1", "--beta", "1", "--e", "2"],
-], ids=["verify-json", "matrix-e2-parity-span", "matrix-e3-parity", "census-export"])
+    # three Z8 coordinates: the walk reads its table of child sizes on a third
+    ["verify", "--alpha", "1", "--beta", "3", "--e", "3"],
+    # [n; 1]_2 = 2^n - 1 with n near 3000, each the product of Phi_d(2) over
+    # the divisors d of n
+    ["count", "--alpha", "1", "--beta", "3000", "--k0", "1", "--k1", "1", "--k2", "1", "--k3", "1"],
+    ["sequence", "t8", "--start", "2998", "--end", "3000"],
+    # 6.2 * 10^17 predicted subgroups in a 2^15-word ambient: exit 3
+    ["verify", "--alpha", "15", "--beta", "0"],
+], ids=["verify-json", "matrix-e2-parity-span", "matrix-e3-parity", "census-export",
+        "verify-1-3-3", "count-beta-3000", "sequence-t8-3000", "verify-15-0-refused"])
 def test_module_invocation_matches_in_process(capsys, argv):
     # a fresh interpreter loads codes and census on first use; this process
     # has imported them already
@@ -667,3 +680,57 @@ def test_module_invocation_matches_in_process(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+
+# run in a child whose address space is capped at 2 GB: the six library jobs
+# ([10^9; 1]_2 by the closed form and by count_z8, the 2^36 words of
+# (0,12;0,12,0,0) by span, the 1.4 * 10^9 types of formula_census(300, 300, 3),
+# the 10^7 bits of formula_census(2000, 0, 3)'s counts and the bits of
+# [200000; 100000]_2 by the q-kernel), then the count command lines of
+# 2^(10^12) and [10^9; 1]_2; each prints how it was refused
+REFUSED_UNDER_A_MEMORY_CAP = """
+import contextlib, io
+from z2z8.census import formula_census
+from z2z8.cli import main
+from z2z8.codes import assemble, span, zero_standard_form
+from z2z8.counting import TypeProfile, count_closed_form, count_z8
+from z2z8.errors import AmbientTooLargeError
+from z2z8.qnum import q_binomial
+jobs = [
+    lambda: count_closed_form(TypeProfile(10**9, 1, 1, 0, 0, 0)),
+    lambda: count_z8(10**9, 0, 0, 1),
+    lambda: span(assemble(zero_standard_form(TypeProfile(0, 12, 0, 12, 0, 0)))),
+    lambda: formula_census(300, 300, 3),
+    lambda: formula_census(2000, 0, 3),
+    lambda: q_binomial(200000, 100000, 2),
+]
+for job in jobs:
+    try:
+        job()
+    except AmbientTooLargeError:
+        print("refused")
+    else:
+        print("not refused")
+for argv in (
+    ["count", "--alpha", "1000000000000", "--beta", "1", "--k0", "0", "--k1", "0", "--k2", "1", "--k3", "0"],
+    ["count", "--alpha", "1000000000", "--beta", "1", "--k0", "1", "--k1", "0", "--k2", "0", "--k3", "0"],
+):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    print(f"exit {code}: {err.getvalue().partition(':')[0]}")
+"""
+
+
+def test_too_large_jobs_are_refused_under_a_memory_cap():
+    # a guard that let a job start would meet a MemoryError or run past 5 s
+    resource = pytest.importorskip("resource")
+    cap = 2_000_000 * 1024
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run([sys.executable, "-c", REFUSED_UNDER_A_MEMORY_CAP], capture_output=True,
+                          text=True, timeout=5, preexec_fn=cap_address_space)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["refused"] * 6 + ["exit 3: resource guard"] * 2

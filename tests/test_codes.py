@@ -390,6 +390,8 @@ def test_parity_check_rows_golden():
 def test_dual_of_trivial_code_is_everything():
     c = span([], alpha=1, beta=1, e=3)
     assert len(dual_bruteforce(c)) == 16
+    # a word set with no word at all constrains no word either
+    assert dual_bruteforce(Code([], 1, 1)) == dual_bruteforce(c)
 
 
 def test_dual_cardinality_and_involution_sweep():
