@@ -271,8 +271,10 @@ class Code:
     def __iter__(self) -> Iterator[MixedWord]:
         return iter(sorted(self.words, key=lambda w: (w.bin, w.mod)))
 
-    def __contains__(self, w: MixedWord) -> bool:
-        return w in self.words
+    def __contains__(self, w: object) -> bool:
+        # looks the packed word up, so that no codeword is decoded
+        return (isinstance(w, MixedWord) and (w.alpha, w.beta, w.e) == (self.alpha, self.beta, self.e)
+                and self._ambient.encode(w) in self._packed)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -9,11 +9,11 @@ two and four Gaussian binomials [n; k]_2, each a run of 2^j - 1 over
 product formula is 2^i (2^j - 1), so `count` factors it, with no big
 integer, into a power of two and eight runs; it insists that these are the
 closed form's, factor by factor, run by run, and then multiplies the
-integer out once from the Phi_d(2), the values at 2 of the cyclotomic
-polynomials, that divide each binomial, each read off 2^d - 1 =
-prod_{m | d} Phi_m(2).  `count_product` evaluates the same eight rows,
-`_product_rows`, in integers and stays the reference that the tests
-compare against, with the q-kernel in `qnum`.
+integer out once, with `_product`, from the Phi_d(2), the values at 2 of
+the cyclotomic polynomials, that divide each binomial, each read off
+2^d - 1 = prod_{m | d} Phi_m(2).  `count_product` multiplies the same
+eight rows, `_product_rows`, out with `_product` too and stays the
+reference that the tests compare against, with the q-kernel in `qnum`.
 
 Specializations cover linear codes over Z8, additive codes over Z2 x Z4,
 and the classical 2-binomial coefficients, plus the duality arithmetic
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import SelfCheckError, check_work
 from .qnum import q_binomial
@@ -160,11 +160,11 @@ class CountBreakdown(NamedTuple):
 
     @property
     def numerator(self) -> int:
-        return self.n1 * self.n2 * self.n3 * self.n4
+        return _product(self[:4])
 
     @property
     def denominator(self) -> int:
-        return self.d1 * self.d2 * self.d3 * self.d4
+        return _product(self[4:8])
 
 
 class DeltaExponents(NamedTuple):
@@ -189,13 +189,13 @@ def count_product(profile: TypeProfile) -> CountBreakdown:
     Invalid profiles yield total 0 with all factors 1.  The exact division
     makes this the labelled test oracle for `count`, which never divides.
     """
-    n1, n2, n3, n4, d1, d2, d3, d4 = _product_factors(profile)
+    breakdown = CountBreakdown(*_product_factors(profile), 0)
     if not profile.is_valid():
-        return CountBreakdown(n1, n2, n3, n4, d1, d2, d3, d4, 0)
-    total, rem = divmod(n1 * n2 * n3 * n4, d1 * d2 * d3 * d4)
+        return breakdown
+    total, rem = divmod(breakdown.numerator, breakdown.denominator)
     if rem:
         raise SelfCheckError(f"product formula quotient not integral at {profile}")
-    return CountBreakdown(n1, n2, n3, n4, d1, d2, d3, d4, total)
+    return breakdown._replace(total=total)
 
 
 def _product_rows(profile: TypeProfile) -> tuple[tuple[int, int, int, int], ...]:
@@ -228,7 +228,7 @@ def _product_factors(profile: TypeProfile) -> tuple[int, ...]:
     rows = _product_rows(profile)
     check_work(2 * sum(k * (s + m) for sign, k, s, m in rows if sign > 0),
                "count --breakdown (the bits of its eight factors)")
-    return tuple(math.prod((1 << j) - 1 for j in range(m - k + 1, m + 1)) << (k * s + k * (k - 1) // 2)
+    return tuple(_product((1 << j) - 1 for j in range(m - k + 1, m + 1)) << (k * s + k * (k - 1) // 2)
                  for _, k, s, m in rows)
 
 
@@ -301,11 +301,9 @@ def _agreed_form(profile: TypeProfile) -> tuple[int, list[tuple[int, int]]]:
 # 2^j - 1 is the product of Phi_d(2) over the divisors d of j: `_phi2`
 # reads each Phi_d(2) off it, and Phi_d(2) divides [n; k]_2 exactly
 # n//d - k//d - (n-k)//d times: 1 when n % d < k % d and 0 otherwise.
-# `_evaluate` lists those Phi_d(2), 2 <= d <= n, and skips [n; 0]_2 and
-# [n; n]_2.  For 0 < k < n that takes n - 1 <= k(n - k) steps, the degree
-# of [n; k]_q, so its guard on the count's bits, two + sum k(n - k), bounds
-# the loop too.  The leaves are multiplied pairwise, level by level, so that
-# most products are of numbers of about equal size.
+# `_evaluate` multiplies those Phi_d(2), 2 <= d <= n, out with `_product`,
+# and skips [n; 0]_2 and [n; n]_2.  For 0 < k < n it takes n - 1 <= k(n - k)
+# steps, so its guard on the bits, two + sum k(n - k), bounds the loop too.
 
 
 def _closed_form(profile: TypeProfile) -> tuple[int, list[tuple[int, int]]]:
@@ -329,11 +327,8 @@ def _product_form(profile: TypeProfile) -> tuple[int, list]:
 @functools.lru_cache(maxsize=4096)  # bounded: a long-lived process keeps at most this many values
 def _phi2(d: int) -> int:
     """Phi_d(2) from 2^d - 1 = prod_{m | d} Phi_m(2): 2^d - 1 over the Phi_m(2) of the proper
-    divisors m of d, in pairs (m, d // m) with 2 <= m <= sqrt(d), as Phi_1(2) = 1."""
-    den = 1
-    for m in range(2, math.isqrt(d) + 1):
-        if d % m == 0:
-            den *= _phi2(m) if m * m == d else _phi2(m) * _phi2(d // m)
+    divisors m of d, in pairs {m, d // m} with 2 <= m <= sqrt(d), as Phi_1(2) = 1."""
+    den = _product(_phi2(f) for m in range(2, math.isqrt(d) + 1) if d % m == 0 for f in {m, d // m})
     phi, rem = divmod((1 << d) - 1, den)
     if rem:
         raise SelfCheckError(f"2^{d} - 1 is not divisible by the Phi_m(2) of the proper divisors of {d}")
@@ -347,13 +342,18 @@ def _evaluate(two: int, binomials: list[tuple[int, int]]) -> int:
     check_work(two + sum(k * (n - k) for n, k in binomials), "count (its bits)")
     if two < 0:
         raise SelfCheckError(f"the power of two has exponent {two}")
-    leaves = [_phi2(d) for n, k in binomials if 0 < k < n for d in range(2, n + 1) if n % d < k % d]
-    size, step = len(leaves), 1
-    while step < size:  # leaves[i] becomes the product of leaves[i : i + 2 * step]
-        for i in range(0, size - step, 2 * step):
-            leaves[i] *= leaves[i + step]
+    leaves = (_phi2(d) for n, k in binomials if 0 < k < n for d in range(2, n + 1) if n % d < k % d)
+    return _product(leaves) << two
+
+
+def _product(xs: Iterable[int]) -> int:
+    """The product of xs, 1 if none: pairwise, level by level, so most products are of like sizes."""
+    xs, step = list(xs) or [1], 1
+    while step < len(xs):  # xs[i] becomes the product of xs[i : i + 2 * step]
+        for i in range(0, len(xs) - step, 2 * step):
+            xs[i] *= xs[i + step]
         step *= 2
-    return (leaves[0] if leaves else 1) << two
+    return xs[0]
 
 
 def count_z8(n: int, k1: int, k2: int, k3: int) -> int:

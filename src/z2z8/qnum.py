@@ -17,10 +17,11 @@ __all__ = ["q_integer", "q_factorial", "q_binomial", "q_multinomial"]
 
 
 def _check_args(n: int, q: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if q < 2:
-        raise ValueError(f"q must be an integer >= 2, got {q}")
+    # 5.0 would pass the range checks and turn every result into a float; bool passes as an int
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    if not isinstance(q, int) or q < 2:
+        raise ValueError(f"q must be an integer >= 2, got {q!r}")
 
 
 def q_integer(n: int, q: int) -> int:
@@ -51,8 +52,8 @@ def q_binomial(n: int, k: int, q: int) -> int:
     product it forms.
     """
     _check_args(n, q)
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"k must be a non-negative integer, got {k!r}")
     if k > n:
         return 0
     k = min(k, n - k)  # symmetry keeps the product short
@@ -74,8 +75,8 @@ def q_multinomial(n: int, parts: Sequence[int], q: int) -> int:
     """
     _check_args(n, q)
     for k in parts:
-        if k < 0:
-            raise ValueError(f"parts must be non-negative, got {list(parts)}")
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"parts must be non-negative integers, got {list(parts)}")
     if sum(parts) > n:
         return 0
     bits, rest = 0, n

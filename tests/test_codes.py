@@ -225,6 +225,16 @@ def test_span_refuses_dimensions_that_contradict_its_generators():
     assert span([g], alpha=1, beta=1, e=3) == span([g])
 
 
+def test_membership_looks_up_the_packed_word_without_decoding():
+    c = span([W([1], [2])])
+    assert W([1], [2]) in c and W([0], [4]) in c and W([0], [1]) not in c
+    # a word of another ambient or ring, or no word at all, is not in the code
+    assert W([1, 0], [2]) not in c and W([1], [2], e=2) not in c
+    assert 0 not in c and None not in c and [1, 2] not in c
+    assert "words" not in vars(c)
+    assert [w in c for w in ambient_words(1, 1, 3)] == [w in c.words for w in ambient_words(1, 1, 3)]
+
+
 def test_span_cyclic_generator_fills_z8():
     c = span([W([], [1])])
     assert len(c) == 8
@@ -318,6 +328,17 @@ def test_classify_round_trip_z4():
     _assert_classify_round_trips(2)
 
 
+def test_classify_round_trip_reaches_seven_order_two_layers():
+    # s_1 >= 7 with k1, k2 and k3 each non-zero somewhere, on codes of at
+    # most 2^12 words: a classifier that swaps two types of equal count (the
+    # census compares counts per type) fails here deterministically
+    profiles = [p for p in valid_profiles(1, 8)
+                if p.k0 + p.l >= 7 and p.k0 + 3 * p.k1 + 2 * p.k2 + p.k3 <= 12]
+    assert len(profiles) == 126
+    for p in profiles:
+        assert _classify(span(assemble(random_standard_form(p, 1)))) == p.ks, p
+
+
 # ---------------------------------------------------------------------------
 # parity check and duality
 # ---------------------------------------------------------------------------
@@ -371,6 +392,23 @@ def test_parity_rows_generate_the_exact_dual(profile):
         c = span(assemble(m))
         h_span = span(list(parity_check(m).rows), alpha=p.alpha, beta=p.beta, e=3)
         assert h_span == dual_bruteforce(c), (p, seed)
+
+
+def test_parity_rows_generate_the_exact_dual_on_a_grid():
+    # every type of both rings with alpha <= 8 and beta <= 2, in ambients of
+    # at most 2^14 words: a fixed grid, not random draws, reaches T0e's binary
+    # part at alpha >= 5
+    cases = 0
+    for e, alpha, beta in product((2, 3), range(9), (1, 2)):
+        if alpha + e * beta > 14:
+            continue
+        for ks in _valid_ks(alpha, beta, e):
+            m = _standard_form(alpha, beta, ks, e, 7)
+            code = span(assemble(m), alpha=alpha, beta=beta, e=e)
+            h_span = span(list(parity_check(m).rows), alpha=alpha, beta=beta, e=e)
+            assert h_span == dual_bruteforce(code), (e, alpha, beta, ks)
+            cases += 1
+    assert cases == 1035
 
 
 # sha256 of format_matrix(alpha, beta, 3, parity rows) over every valid profile

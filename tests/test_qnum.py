@@ -180,6 +180,24 @@ def test_rejects_bad_arguments():
         q_factorial(-2, 2)
 
 
+@pytest.mark.parametrize("function,args,name", [
+    (q_binomial, (5.0, 2, 2), "n"),  # 155.0 before it was refused
+    (q_integer, (3.0, 2), "n"),  # 7.0
+    (q_multinomial, (5.0, [1, 2], 2), "n"),  # 1085.0
+    (q_factorial, (3.0, 2), "n"),
+    (q_binomial, (5, 2.0, 2), "k"),
+    (q_multinomial, (5, [1, 2.0], 2), "parts"),
+    (q_integer, (3, 2.0), "q"),
+])
+def test_refuses_a_non_integer_argument_by_name(function, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        function(*args)
+
+
+def test_bool_arguments_pass_as_integers():
+    assert q_binomial(True, True, 2) == 1 and q_multinomial(2, [True], 2) == 3
+
+
 @pytest.mark.parametrize("function,args", [
     (q_integer, (10**8, 2)),
     (q_factorial, (10**4, 2)),
